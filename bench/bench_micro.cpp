@@ -85,13 +85,33 @@ void BM_L2sScoreAll(benchmark::State& state) {
     timing.mean_verify = rng.uniform(0.5, 8.0);
   }
   const std::vector<std::uint32_t> inputs{0, 1 % k, 2 % k};
-  latency::L2sEstimator estimator;
+  const latency::L2sEstimator estimator;
+  std::vector<double> scores;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(estimator.score_all(timings, inputs));
+    estimator.relative_scores(timings, inputs, scores);
+    benchmark::DoNotOptimize(scores.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_L2sScoreAll)->Arg(4)->Arg(16)->Arg(64);
+
+/// The proof-phase quadrature alone (E[max] over Arg input shards) — the
+/// per-transaction constant relative_scores leaves out of the placer.
+void BM_L2sExpectedMax(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<latency::ShardTiming> proof_set(n);
+  Rng rng(3);
+  for (auto& timing : proof_set) {
+    timing.mean_comm = rng.uniform(0.05, 0.3);
+    timing.mean_verify = rng.uniform(0.5, 8.0);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(latency::expected_max_two_phase(proof_set));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_L2sExpectedMax)->Arg(2)->Arg(3);
 
 struct NullHandler final : sim::EventHandler {
   void on_event(const sim::Event&) override {}

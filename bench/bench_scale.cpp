@@ -21,7 +21,14 @@
 //                   (default 1: the batched kernel, single-threaded)
 //   --batch=N       micro-batch length        (default 512)
 //   --out=PATH      JSON output path          (default BENCH_scale.json)
+//   --reps=N        timed repetitions of the placement and simulation
+//                   runs (default 1; 5 with --smoke)
 //   --smoke         CI smoke mode: 20k placement / 4k sim transactions
+//
+// With reps > 1 the headline rates ("placement" tx_per_s, "simulation"
+// events_per_s and sim_tx_per_s) are medians over the repetitions, with the
+// slowest rep (_min) and the median absolute deviation (_mad) beside them;
+// every repetition must reproduce the first one's outcome.
 //
 // The placement path runs twice when place_jobs >= 1: once through the
 // micro-batched front-end (the headline "placement" object) and once
@@ -35,7 +42,9 @@
 // generator time in the placement rate, so compare like with like
 // (placement-only rates are higher than the old combined rates on
 // unchanged code).
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -66,6 +75,39 @@ double peak_rss_mib() {
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
 
+/// Median, minimum and median absolute deviation of repeated measurements.
+struct RepStats {
+  double median = 0.0;
+  double min = 0.0;
+  double mad = 0.0;
+};
+
+double median_of(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  const std::size_t mid = values.size() / 2;
+  return values.size() % 2 == 1 ? values[mid]
+                                : 0.5 * (values[mid - 1] + values[mid]);
+}
+
+RepStats rep_stats(const std::vector<double>& values) {
+  RepStats stats;
+  stats.median = median_of(values);
+  stats.min = *std::min_element(values.begin(), values.end());
+  std::vector<double> deviations;
+  deviations.reserve(values.size());
+  for (const double value : values) {
+    deviations.push_back(std::abs(value - stats.median));
+  }
+  stats.mad = median_of(std::move(deviations));
+  return stats;
+}
+
+[[noreturn]] void diverged(const char* what, std::uint32_t rep) {
+  std::fprintf(stderr, "bench_scale: %s rep %u DIVERGED from rep 0\n", what,
+               rep);
+  std::exit(1);
+}
+
 int run(int argc, char** argv) {
   Flags flags(argc, argv);
   const bool smoke = flags.get_bool("smoke", false);
@@ -83,6 +125,12 @@ int run(int argc, char** argv) {
       static_cast<std::uint32_t>(flags.get_int("place_jobs", 1));
   const auto batch = static_cast<std::uint32_t>(flags.get_int("batch", 512));
   const std::string out_path = flags.get_string("out", "BENCH_scale.json");
+  const auto reps_flag = flags.get_int("reps", smoke ? 5 : 1);
+  if (reps_flag < 1 || reps_flag > 1000) {
+    std::fprintf(stderr, "bench_scale: --reps must be in [1, 1000]\n");
+    return 2;
+  }
+  const auto reps = static_cast<std::uint32_t>(reps_flag);
 
   print_header("bench_scale — million-transaction engine",
                "engine scaling (paper §V.A runs 10M-tx streams)",
@@ -101,6 +149,7 @@ int run(int argc, char** argv) {
       .field("method", method)
       .field("place_jobs", place_jobs)
       .field("batch", batch)
+      .field("reps", reps)
       .field("smoke", smoke)
       .end_object();
 
@@ -125,40 +174,64 @@ int run(int argc, char** argv) {
 
   // ---- placement-only path ---------------------------------------------
   // Headline run: the micro-batched front-end (place_jobs >= 1), else the
-  // tx-at-a-time loop.
+  // tx-at-a-time loop; a fresh pipeline per repetition.
   api::StreamOutcome batched_outcome;
   {
-    workload::SpanTxSource source(stream);
-    api::PlacementPipeline pipeline =
-        api::make_pipeline(method, shards, {}, seed, {}, txs);
-    api::BatchLatencyStats batch_stats;
-    const auto start = Clock::now();
-    if (place_jobs >= 1) {
-      api::BatchPlacementPipeline batched(pipeline, {place_jobs, batch});
-      batched_outcome = batched.place_stream(source);
-      batch_stats = batched.latency_stats();
-    } else {
-      batched_outcome = pipeline.place_stream(source);
+    std::vector<double> seconds;
+    std::vector<double> rates;
+    std::vector<double> batch_p50;
+    std::vector<double> batch_p99;
+    std::uint64_t tan_edges = 0;
+    for (std::uint32_t rep = 0; rep < reps; ++rep) {
+      workload::SpanTxSource source(stream);
+      api::PlacementPipeline pipeline =
+          api::make_pipeline(method, shards, {}, seed, {}, txs);
+      api::BatchLatencyStats batch_stats;
+      api::StreamOutcome outcome;
+      const auto start = Clock::now();
+      if (place_jobs >= 1) {
+        api::BatchPlacementPipeline batched(pipeline, {place_jobs, batch});
+        outcome = batched.place_stream(source);
+        batch_stats = batched.latency_stats();
+      } else {
+        outcome = pipeline.place_stream(source);
+      }
+      const double elapsed = seconds_since(start);
+      if (rep == 0) {
+        batched_outcome = outcome;
+        tan_edges = pipeline.dag().num_edges();
+      } else if (outcome.cross != batched_outcome.cross ||
+                 outcome.shard_sizes != batched_outcome.shard_sizes) {
+        diverged("placement", rep);
+      }
+      seconds.push_back(elapsed);
+      rates.push_back(static_cast<double>(txs) / elapsed);
+      batch_p50.push_back(batch_stats.p50_us);
+      batch_p99.push_back(batch_stats.p99_us);
     }
-    const double elapsed = seconds_since(start);
-    const double tx_per_s = static_cast<double>(txs) / elapsed;
+    const RepStats rate = rep_stats(rates);
+    const double p50_us = median_of(batch_p50);
+    const double p99_us = median_of(batch_p99);
 
     std::printf(
-        "placement : %llu txs in %.2f s  (%.0f tx/s, cross %.2f%%, "
-        "jobs=%u batch=%u, batch p50 %.0f us p99 %.0f us)\n",
-        static_cast<unsigned long long>(txs), elapsed, tx_per_s,
-        100.0 * batched_outcome.fraction(), place_jobs, batch,
-        batch_stats.p50_us, batch_stats.p99_us);
+        "placement : %llu txs in %.2f s  (%.0f tx/s median of %u, min %.0f, "
+        "cross %.2f%%, jobs=%u batch=%u, batch p50 %.0f us p99 %.0f us)\n",
+        static_cast<unsigned long long>(txs), median_of(seconds), rate.median,
+        reps, rate.min, 100.0 * batched_outcome.fraction(), place_jobs, batch,
+        p50_us, p99_us);
     json.begin_object("placement")
         .field("txs", txs)
-        .field("seconds", elapsed)
-        .field("tx_per_s", tx_per_s)
+        .field("reps", reps)
+        .field("seconds", median_of(seconds))
+        .field("tx_per_s", rate.median)
+        .field("tx_per_s_min", rate.min)
+        .field("tx_per_s_mad", rate.mad)
         .field("cross_fraction", batched_outcome.fraction())
-        .field("tan_edges", pipeline.dag().num_edges())
+        .field("tan_edges", tan_edges)
         .field("place_jobs", place_jobs)
         .field("batch", batch)
-        .field("batch_p50_us", batch_stats.p50_us)
-        .field("batch_p99_us", batch_stats.p99_us)
+        .field("batch_p50_us", p50_us)
+        .field("batch_p99_us", p99_us)
         .end_object();
   }
 
@@ -203,22 +276,39 @@ int run(int argc, char** argv) {
     config.tx_rate_tps = rate;
     config.seed = seed;
     config.commit_window_s = 10.0;
-    workload::GeneratorTxSource source({}, seed, sim_txs);
-    api::PlacementPipeline pipeline =
-        api::make_pipeline(method, shards, {}, seed, {}, sim_txs);
-    sim::Simulation simulation(config);
-    const auto start = Clock::now();
-    const sim::SimResult result = simulation.run(source, pipeline);
-    const double elapsed = seconds_since(start);
-    const double events_per_s =
-        static_cast<double>(result.total_events) / elapsed;
+    sim::SimResult result;
+    std::vector<double> seconds;
+    std::vector<double> event_rates;
+    std::vector<double> tx_rates;
+    for (std::uint32_t rep = 0; rep < reps; ++rep) {
+      workload::GeneratorTxSource source({}, seed, sim_txs);
+      api::PlacementPipeline pipeline =
+          api::make_pipeline(method, shards, {}, seed, {}, sim_txs);
+      sim::Simulation simulation(config);
+      const auto start = Clock::now();
+      sim::SimResult current = simulation.run(source, pipeline);
+      const double elapsed = seconds_since(start);
+      if (rep == 0) {
+        result = std::move(current);
+      } else if (current.total_events != result.total_events ||
+                 current.committed_txs != result.committed_txs ||
+                 current.cross_fraction() != result.cross_fraction()) {
+        diverged("simulation", rep);
+      }
+      seconds.push_back(elapsed);
+      event_rates.push_back(static_cast<double>(result.total_events) /
+                            elapsed);
+      tx_rates.push_back(static_cast<double>(sim_txs) / elapsed);
+    }
+    const RepStats events = rep_stats(event_rates);
+    const double sim_tx_per_s = median_of(tx_rates);
 
     std::printf(
-        "simulation: %llu txs, %llu events in %.2f s  (%.0f events/s, "
-        "%.0f sim-tx/s, cross %.2f%%, heap peak %llu)\n",
+        "simulation: %llu txs, %llu events in %.2f s  (%.0f events/s median "
+        "of %u, min %.0f, %.0f sim-tx/s, cross %.2f%%, heap peak %llu)\n",
         static_cast<unsigned long long>(sim_txs),
-        static_cast<unsigned long long>(result.total_events), elapsed,
-        events_per_s, static_cast<double>(sim_txs) / elapsed,
+        static_cast<unsigned long long>(result.total_events),
+        median_of(seconds), events.median, reps, events.min, sim_tx_per_s,
         100.0 * result.cross_fraction(),
         static_cast<unsigned long long>(result.event_heap_peak));
     // Event-memory shape: the deepest the event heap got, plus the
@@ -231,10 +321,13 @@ int run(int argc, char** argv) {
     }
     json.begin_object("simulation")
         .field("txs", sim_txs)
+        .field("reps", reps)
         .field("events", result.total_events)
-        .field("seconds", elapsed)
-        .field("events_per_s", events_per_s)
-        .field("sim_tx_per_s", static_cast<double>(sim_txs) / elapsed)
+        .field("seconds", median_of(seconds))
+        .field("events_per_s", events.median)
+        .field("events_per_s_min", events.min)
+        .field("events_per_s_mad", events.mad)
+        .field("sim_tx_per_s", sim_tx_per_s)
         .field("committed", result.committed_txs)
         .field("aborted", result.aborted_txs)
         .field("completed", result.completed)

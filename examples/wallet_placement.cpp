@@ -4,8 +4,8 @@
 // A wallet holds a few UTXOs, samples per-shard round-trip times and
 // verification-time estimates (queue depth x recent consensus time), and
 // uses OptChain's temporal fitness to choose the shard for a new payment.
-// The example prints the full decision breakdown: T2S score, L2S estimate,
-// and the combined fitness per shard.
+// The example prints the decision breakdown per shard: the placer's
+// relative fitness and the full L2S estimate E(j).
 //
 //   $ ./examples/wallet_placement
 #include <cstdio>
@@ -63,15 +63,21 @@ int main() {
   latency::L2sEstimator l2s;
   const std::vector<placement::ShardId> input_shards =
       assignment.input_shards(payment.distinct_input_txs());
-  std::printf("shard  fitness     E[latency](s)  note\n");
+  // last_scores() is the temporal fitness T2S − w·E(j) up to a constant
+  // shared by every shard: when the inputs span two or more shards, the
+  // placer leaves out the proof phase all candidates pay alike.
+  std::printf("shard  rel.fitness  E[latency](s)  note\n");
   std::printf("------------------------------------------------\n");
   for (std::uint32_t j = 0; j < kShards; ++j) {
     const double expected = l2s.score(observed, input_shards, j);
-    std::printf("%-6u %+.6f   %6.2f        %s%s\n", j,
+    std::printf("%-6u %+.6f    %6.2f        %s%s\n", j,
                 placer.last_scores()[j], expected,
                 j == choice ? "<- chosen" : "",
                 j == 2 ? " (backlogged)" : "");
   }
-  std::printf("\nOptChain sends the payment to shard %u\n", choice);
+  std::printf(
+      "\nrel.fitness = T2S - w*E(j), shifted by one constant for all shards;"
+      "\nonly its ranking matters. OptChain sends the payment to shard %u\n",
+      choice);
   return 0;
 }

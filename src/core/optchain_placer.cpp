@@ -33,11 +33,13 @@ placement::ShardId OptChainPlacer::select(
     const placement::ShardAssignment& assignment) {
   const std::uint32_t k = assignment.k();
 
-  // Step 3: subtract the weighted L2S expectation when timing data exists.
+  // Step 3: subtract the weighted L2S expectation when timing data exists —
+  // relative to the proof phase all candidates share, which cannot move
+  // the argmax (see L2sEstimator::relative_scores).
   if (!request.timings.empty() && config_.l2s_weight > 0.0) {
     OPTCHAIN_EXPECTS(request.timings.size() == k);
     assignment.input_shards(request.input_txs, input_shards_scratch_);
-    l2s_.score_all(request.timings, input_shards_scratch_, l2s_scratch_);
+    l2s_.relative_scores(request.timings, input_shards_scratch_, l2s_scratch_);
     for (std::uint32_t j = 0; j < k; ++j) {
       last_scores_[j] -= config_.l2s_weight * l2s_scratch_[j];
     }

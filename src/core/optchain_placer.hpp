@@ -4,7 +4,11 @@
 //   1. p'(u) = (1 − α) Σ_{v ∈ Nin(u)} p'(v)/|Nout(v)|   (T2sScorer)
 //   2. p(u)[i] = p'(u)[i] / |S_i|
 //   3. E(j)   = expected confirmation latency of placing u into shard j
-//               (L2sEstimator; skipped when no timing data is available)
+//               (L2sEstimator; skipped when no timing data is available).
+//               When u's inputs span two or more shards every candidate is
+//               cross-shard and pays the same proof phase E[max]; that
+//               constant cannot change the argmax and is not computed
+//               (L2sEstimator::relative_scores).
 //   4. place u into argmax_j ( p(u)[j] − l2s_weight · E(j) )
 //   5. p'(u)[S(u)] += α
 //
@@ -100,7 +104,11 @@ class OptChainPlacer final : public placement::Placer, public BatchScorable {
   const T2sScorer& scorer() const noexcept { return scorer_; }
 
   /// Temporal fitness scores computed by the last choose() call (debugging /
-  /// example output).
+  /// example output): p(u)[j] − l2s_weight · E(j) up to one per-transaction
+  /// constant. When timing data was given and u's inputs span two or more
+  /// shards, every entry is higher than the full fitness by l2s_weight ·
+  /// E[max proof gathering] (twice that in kPaperSelfConvolution mode);
+  /// otherwise the constant is zero. Differences between shards are exact.
   std::span<const double> last_scores() const noexcept { return last_scores_; }
 
  private:

@@ -93,36 +93,34 @@ double L2sEstimator::score(std::span<const ShardTiming> timings,
   return proof_phase + expected_two_phase(timings[candidate]);
 }
 
-std::vector<double> L2sEstimator::score_all(
-    std::span<const ShardTiming> timings,
-    std::span<const std::uint32_t> input_shards) {
-  std::vector<double> scores;
-  score_all(timings, input_shards, scores);
-  return scores;
-}
-
-void L2sEstimator::score_all(std::span<const ShardTiming> timings,
-                             std::span<const std::uint32_t> input_shards,
-                             std::vector<double>& out) {
+void L2sEstimator::relative_scores(std::span<const ShardTiming> timings,
+                                   std::span<const std::uint32_t> input_shards,
+                                   std::vector<double>& out) const {
   const std::size_t k = timings.size();
-  out.assign(k, 0.0);
-  // The proof-gathering set is the input-shard set, independent of the
-  // candidate; compute its expectation once.
-  proof_scratch_.clear();
-  proof_scratch_.reserve(input_shards.size());
-  for (const std::uint32_t s : input_shards) {
-    OPTCHAIN_EXPECTS(s < k);
-    proof_scratch_.push_back(timings[s]);
-  }
-  const double proof_phase =
-      proof_scratch_.empty() ? 0.0 : expected_max_two_phase(proof_scratch_);
+  out.resize(k);
+  for (const std::uint32_t s : input_shards) OPTCHAIN_EXPECTS(s < k);
 
+  const bool proofs_from_many_shards =
+      !input_shards.empty() &&
+      std::any_of(input_shards.begin() + 1, input_shards.end(),
+                  [&](std::uint32_t s) { return s != input_shards[0]; });
+  if (proofs_from_many_shards &&
+      config_.mode == L2sMode::kPaperSelfConvolution) {
+    std::fill(out.begin(), out.end(), 0.0);
+    return;
+  }
+  if (input_shards.empty() || proofs_from_many_shards) {
+    for (std::uint32_t j = 0; j < k; ++j) {
+      out[j] = expected_two_phase(timings[j]);
+    }
+    return;
+  }
+
+  // One input shard a: same-shard at a, a closed-form proof phase elsewhere.
+  const std::uint32_t a = input_shards[0];
+  const double proof_phase = expected_two_phase(timings[a]);
   for (std::uint32_t j = 0; j < k; ++j) {
-    const bool same_shard =
-        input_shards.empty() ||
-        std::all_of(input_shards.begin(), input_shards.end(),
-                    [j](std::uint32_t s) { return s == j; });
-    if (same_shard) {
+    if (j == a) {
       out[j] = expected_two_phase(timings[j]);
     } else if (config_.mode == L2sMode::kPaperSelfConvolution) {
       out[j] = 2.0 * proof_phase;

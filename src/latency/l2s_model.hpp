@@ -73,24 +73,20 @@ class L2sEstimator {
                std::span<const std::uint32_t> input_shards,
                std::uint32_t candidate) const;
 
-  /// Scores all k candidates at once (reuses the proof-phase integral across
-  /// candidates that share the same proof set). Non-const: the proof-set
-  /// scratch buffer is reused across calls, so a shared estimator is not
-  /// concurrently callable — which the signature now says out loud.
-  std::vector<double> score_all(std::span<const ShardTiming> timings,
-                                std::span<const std::uint32_t> input_shards);
-
-  /// As above, into a caller-reused buffer (assign semantics) — the per-issue
-  /// hot path of the simulator.
-  void score_all(std::span<const ShardTiming> timings,
-                 std::span<const std::uint32_t> input_shards,
-                 std::vector<double>& out);
+  /// E(j) for all k candidates minus the part every candidate shares, into
+  /// a caller-reused buffer (assign semantics) — the placer's hot path.
+  /// Coinbase: E(j). Inputs in one shard a: E(j) exactly. Inputs in two or
+  /// more distinct shards: no candidate is same-shard, so the proof phase
+  /// E[max] is a per-transaction constant and is dropped — E(j) − E[max]
+  /// (kProofPlusCommit) or 0 (kPaperSelfConvolution). Differences between
+  /// candidates, and hence the argmax of any T2S − w·E fitness, are those
+  /// of score(). Duplicate ids in `input_shards` count once.
+  void relative_scores(std::span<const ShardTiming> timings,
+                       std::span<const std::uint32_t> input_shards,
+                       std::vector<double>& out) const;
 
  private:
   L2sConfig config_;
-  /// Scratch for the proof-gathering set (input-shard timings); reused so
-  /// score_all allocates nothing in steady state.
-  std::vector<ShardTiming> proof_scratch_;
 };
 
 }  // namespace optchain::latency

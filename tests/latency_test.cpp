@@ -2,6 +2,7 @@
 // quadrature, and the estimator's protocol semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -173,15 +174,56 @@ TEST(L2sEstimatorTest, MonotoneInQueueBacklog) {
   }
 }
 
-TEST(L2sEstimatorTest, ScoreAllMatchesScore) {
-  const std::vector<ShardTiming> timings{
-      {0.1, 1.0}, {0.2, 2.0}, {0.15, 4.0}};
-  const std::vector<std::uint32_t> inputs{0, 2};
-  L2sEstimator estimator;
-  const auto all = estimator.score_all(timings, inputs);
-  ASSERT_EQ(all.size(), timings.size());
-  for (std::uint32_t j = 0; j < timings.size(); ++j) {
-    EXPECT_NEAR(all[j], estimator.score(timings, inputs, j), 1e-9);
+TEST(L2sEstimatorTest, RelativeScoresDifferFromScoreByOneConstant) {
+  // score() is the oracle: it evaluates the paper's E(j) in full, proof-phase
+  // quadrature included. relative_scores() may drop only a part shared by
+  // every candidate, and nothing at all when the inputs are empty or sit in
+  // one shard. Inputs may repeat a shard id; score() documents distinct ids,
+  // so it is handed the deduplicated list.
+  Rng rng(41);
+  std::vector<double> relative;
+  for (const L2sMode mode :
+       {L2sMode::kProofPlusCommit, L2sMode::kPaperSelfConvolution}) {
+    const L2sEstimator estimator({mode});
+    for (int trial = 0; trial < 300; ++trial) {
+      const auto k = static_cast<std::uint32_t>(rng.uniform_int(1, 8));
+      std::vector<ShardTiming> timings(k);
+      for (auto& timing : timings) {
+        timing.mean_comm = rng.uniform(0.01, 0.5);
+        // Every fourth shard takes the Erlang-2 (equal-rate) branch.
+        timing.mean_verify = rng.below(4) == 0 ? timing.mean_comm
+                                               : rng.uniform(0.1, 20.0);
+      }
+      std::vector<std::uint32_t> inputs;
+      const auto n_inputs = rng.uniform_int(0, 5);
+      for (std::int64_t i = 0; i < n_inputs; ++i) {
+        inputs.push_back(static_cast<std::uint32_t>(rng.below(k)));
+      }
+      std::vector<std::uint32_t> distinct;
+      for (const std::uint32_t s : inputs) {
+        if (std::find(distinct.begin(), distinct.end(), s) == distinct.end()) {
+          distinct.push_back(s);
+        }
+      }
+
+      estimator.relative_scores(timings, inputs, relative);
+      ASSERT_EQ(relative.size(), k);
+      const double shared = estimator.score(timings, distinct, 0) - relative[0];
+      if (distinct.size() <= 1) {
+        EXPECT_EQ(shared, 0.0) << "trial " << trial;
+      } else {
+        EXPECT_GT(shared, 0.0) << "trial " << trial;
+      }
+      for (std::uint32_t j = 1; j < k; ++j) {
+        const double full = estimator.score(timings, distinct, j);
+        if (distinct.size() <= 1) {
+          EXPECT_EQ(full, relative[j]) << "trial " << trial << " j " << j;
+        } else {
+          EXPECT_NEAR(full - relative[j], shared, 1e-12 * full)
+              << "trial " << trial << " j " << j;
+        }
+      }
+    }
   }
 }
 

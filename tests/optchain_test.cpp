@@ -3,9 +3,11 @@
 // against the baselines on generated workloads.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
+#include "common/rng.hpp"
 #include "core/optchain_placer.hpp"
 #include "placement/greedy_placer.hpp"
 #include "placement/random_placer.hpp"
@@ -173,6 +175,69 @@ TEST(OptChainPlacerTest, LastScoresExposed) {
   request.index = 0;
   placer.choose(request, assignment);
   EXPECT_EQ(placer.last_scores().size(), 4u);
+}
+
+TEST(OptChainPlacerTest, ChoiceIsArgmaxOfFullTemporalFitness) {
+  // Property: with random per-shard timings on every transaction, the
+  // placer's choice equals argmax_j (T2S_j − w·E(j)) with E(j) from the full
+  // L2S model (L2sEstimator::score, proof-phase quadrature included); ties
+  // go to the smaller shard, then the lower id. A twin placer with
+  // l2s_weight = 0 fed the same decisions supplies T2S_j.
+  const double weight = OptChainConfig{}.l2s_weight;
+  OptChainConfig t2s_only;
+  t2s_only.l2s_weight = 0.0;
+  const latency::L2sEstimator l2s;
+  for (const std::uint32_t k : {4u, 16u, 64u}) {
+    workload::BitcoinLikeGenerator gen({}, 500 + k);
+    const auto txs = gen.generate(2000);
+    graph::TanDag dag;
+    OptChainPlacer placer(dag);
+    OptChainPlacer twin(dag, t2s_only);
+    ShardAssignment assignment(k);
+    Rng rng(k);
+    std::vector<ShardTiming> timings(k);
+    std::uint64_t multi_shard_inputs = 0;
+    for (const tx::Transaction& transaction : txs) {
+      const std::vector<tx::TxIndex> parents =
+          transaction.distinct_input_txs();
+      dag.add_node(parents);
+      for (auto& timing : timings) {
+        timing.mean_comm = rng.uniform(0.05, 0.3);
+        timing.mean_verify = rng.uniform(0.5, 12.0);
+      }
+      PlacementRequest request;
+      request.index = transaction.index;
+      request.input_txs = parents;
+      request.timings = timings;
+      PlacementRequest untimed = request;
+      untimed.timings = {};
+
+      const ShardId chosen = placer.choose(request, assignment);
+      twin.choose(untimed, assignment);
+      const std::vector<ShardId> input_shards =
+          assignment.input_shards(parents);
+      multi_shard_inputs += input_shards.size() >= 2 ? 1 : 0;
+
+      ShardId expected = 0;
+      double best_fitness = -std::numeric_limits<double>::infinity();
+      for (ShardId j = 0; j < k; ++j) {
+        const double fitness = twin.last_scores()[j] -
+                               weight * l2s.score(timings, input_shards, j);
+        if (fitness > best_fitness ||
+            (fitness == best_fitness &&
+             assignment.size_of(j) < assignment.size_of(expected))) {
+          expected = j;
+          best_fitness = fitness;
+        }
+      }
+      ASSERT_EQ(chosen, expected) << "k " << k << " tx " << request.index;
+
+      assignment.record(request.index, chosen);
+      placer.notify_placed(request, chosen);
+      twin.notify_placed(untimed, chosen);
+    }
+    EXPECT_GT(multi_shard_inputs, 50u) << "k " << k;
+  }
 }
 
 // ------------------------------------------------- cross-TX quality sweeps
