@@ -100,16 +100,12 @@ void L2sEstimator::relative_scores(std::span<const ShardTiming> timings,
   out.resize(k);
   for (const std::uint32_t s : input_shards) OPTCHAIN_EXPECTS(s < k);
 
-  const bool proofs_from_many_shards =
-      !input_shards.empty() &&
-      std::any_of(input_shards.begin() + 1, input_shards.end(),
-                  [&](std::uint32_t s) { return s != input_shards[0]; });
-  if (proofs_from_many_shards &&
+  if (input_shards.size() >= 2 &&
       config_.mode == L2sMode::kPaperSelfConvolution) {
     std::fill(out.begin(), out.end(), 0.0);
     return;
   }
-  if (input_shards.empty() || proofs_from_many_shards) {
+  if (input_shards.size() != 1) {
     for (std::uint32_t j = 0; j < k; ++j) {
       out[j] = expected_two_phase(timings[j]);
     }

@@ -75,12 +75,13 @@ class L2sEstimator {
 
   /// E(j) for all k candidates minus the part every candidate shares, into
   /// a caller-reused buffer (assign semantics) — the placer's hot path.
-  /// Coinbase: E(j). Inputs in one shard a: E(j) exactly. Inputs in two or
-  /// more distinct shards: no candidate is same-shard, so the proof phase
-  /// E[max] is a per-transaction constant and is dropped — E(j) − E[max]
+  /// `input_shards` lists distinct shards, as for score(). Coinbase: E(j).
+  /// Inputs in one shard a: E(j) exactly. Inputs in two or more shards: no
+  /// candidate is same-shard, so the proof phase E[max] is a
+  /// per-transaction constant and is dropped — E(j) − E[max]
   /// (kProofPlusCommit) or 0 (kPaperSelfConvolution). Differences between
   /// candidates, and hence the argmax of any T2S − w·E fitness, are those
-  /// of score(). Duplicate ids in `input_shards` count once.
+  /// of score().
   void relative_scores(std::span<const ShardTiming> timings,
                        std::span<const std::uint32_t> input_shards,
                        std::vector<double>& out) const;

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -178,8 +179,7 @@ TEST(L2sEstimatorTest, RelativeScoresDifferFromScoreByOneConstant) {
   // score() is the oracle: it evaluates the paper's E(j) in full, proof-phase
   // quadrature included. relative_scores() may drop only a part shared by
   // every candidate, and nothing at all when the inputs are empty or sit in
-  // one shard. Inputs may repeat a shard id; score() documents distinct ids,
-  // so it is handed the deduplicated list.
+  // one shard.
   Rng rng(41);
   std::vector<double> relative;
   for (const L2sMode mode :
@@ -194,29 +194,24 @@ TEST(L2sEstimatorTest, RelativeScoresDifferFromScoreByOneConstant) {
         timing.mean_verify = rng.below(4) == 0 ? timing.mean_comm
                                                : rng.uniform(0.1, 20.0);
       }
-      std::vector<std::uint32_t> inputs;
-      const auto n_inputs = rng.uniform_int(0, 5);
-      for (std::int64_t i = 0; i < n_inputs; ++i) {
-        inputs.push_back(static_cast<std::uint32_t>(rng.below(k)));
-      }
-      std::vector<std::uint32_t> distinct;
-      for (const std::uint32_t s : inputs) {
-        if (std::find(distinct.begin(), distinct.end(), s) == distinct.end()) {
-          distinct.push_back(s);
-        }
-      }
+      // 0–5 distinct input shards, as ShardAssignment::input_shards yields.
+      std::vector<std::uint32_t> inputs(k);
+      std::iota(inputs.begin(), inputs.end(), 0u);
+      std::shuffle(inputs.begin(), inputs.end(), rng);
+      inputs.resize(std::min<std::size_t>(
+          k, static_cast<std::size_t>(rng.uniform_int(0, 5))));
 
       estimator.relative_scores(timings, inputs, relative);
       ASSERT_EQ(relative.size(), k);
-      const double shared = estimator.score(timings, distinct, 0) - relative[0];
-      if (distinct.size() <= 1) {
+      const double shared = estimator.score(timings, inputs, 0) - relative[0];
+      if (inputs.size() <= 1) {
         EXPECT_EQ(shared, 0.0) << "trial " << trial;
       } else {
         EXPECT_GT(shared, 0.0) << "trial " << trial;
       }
       for (std::uint32_t j = 1; j < k; ++j) {
-        const double full = estimator.score(timings, distinct, j);
-        if (distinct.size() <= 1) {
+        const double full = estimator.score(timings, inputs, j);
+        if (inputs.size() <= 1) {
           EXPECT_EQ(full, relative[j]) << "trial " << trial << " j " << j;
         } else {
           EXPECT_NEAR(full - relative[j], shared, 1e-12 * full)
