@@ -16,6 +16,7 @@
 #include "sim/event_queue.hpp"
 #include "sim/simulation.hpp"
 #include "sim/tree_gossip.hpp"
+#include "sim/tx_state.hpp"
 #include "workload/bitcoin_like_generator.hpp"
 #include "workload/tan_builder.hpp"
 
@@ -135,6 +136,59 @@ void BM_EventQueue(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1024);
+
+/// The sequential engine's lock/spend ledger: every input of a generated
+/// 150k-transaction stream is probed, locked, then spent, in stream order,
+/// into a table pre-sized the way Simulation::run sizes it. Items = inputs.
+void BM_OutpointLedger(benchmark::State& state) {
+  constexpr std::size_t kTxs = 150000;
+  workload::BitcoinLikeGenerator generator({}, 6);
+  const auto txs = generator.generate(kTxs);
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> spender;
+  for (const tx::Transaction& transaction : txs) {
+    for (const tx::OutPoint& point : transaction.inputs) {
+      keys.push_back((static_cast<std::uint64_t>(point.tx) << 32) |
+                     point.vout);
+      spender.push_back(transaction.index);
+    }
+  }
+  sim::OutpointLedger ledger;
+  for (auto _ : state) {
+    state.PauseTiming();
+    ledger.clear();
+    ledger.reserve(kTxs);
+    state.ResumeTiming();
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      benchmark::DoNotOptimize(ledger.find(keys[i]));
+      ledger[keys[i]] = {sim::OutpointState::kLocked, spender[i]};
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ledger[keys[i]] = {sim::OutpointState::kSpent, spender[i]};
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(keys.size()));
+}
+BENCHMARK(BM_OutpointLedger)->Unit(benchmark::kMillisecond);
+
+/// The sequential engine's in-flight window: issue one transaction and
+/// settle the oldest, at a fixed in-flight depth (Arg).
+void BM_InflightWindow(benchmark::State& state) {
+  const auto depth = static_cast<std::uint32_t>(state.range(0));
+  sim::InflightWindow window;
+  std::uint32_t next = 0;
+  for (; next < depth; ++next) window.open(next);
+  for (auto _ : state) {
+    window.open(next).issue_time = static_cast<double>(next);
+    benchmark::DoNotOptimize(window.at(next - depth).issue_time);
+    window.erase(next - depth);
+    ++next;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_InflightWindow)->Arg(1024)->Arg(32768);
 
 void BM_MetisPartition(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -31,6 +31,9 @@ ParallelSimulation::ParallelSimulation(SimConfig config, std::uint32_t jobs)
       result_{} {
   OPTCHAIN_EXPECTS(config_.num_shards >= 1);
   OPTCHAIN_EXPECTS(config_.tx_rate_tps > 0.0);
+  // The queue sample reschedules itself this far ahead; zero would spin at
+  // one instant forever (the comparison also rejects NaN).
+  OPTCHAIN_EXPECTS(config_.queue_sample_interval_s > 0.0);
   // The lookahead IS the fabric's minimum delivery delay; without one the
   // window degenerates and the engine cannot run ahead (api::simulate falls
   // back to the sequential engine in that case).

@@ -111,9 +111,13 @@ class ParallelSimulation final : private EventHandler {
   std::uint32_t jobs() const noexcept { return jobs_; }
 
  private:
-  // Client-side protocol bookkeeping, duplicated field-for-field from
-  // sim::Simulation (the source of truth for its semantics — see
-  // sim/simulation.hpp).
+  // Client-side protocol bookkeeping. The semantics are shared with
+  // sim::Simulation (the source of truth — see sim/simulation.hpp), but the
+  // containers differ on purpose: the sequential engine keeps these records
+  // and its lock/spend ledger in flat, index-addressed storage
+  // (sim/tx_state.hpp) for speed, while this engine keeps plain node maps,
+  // so that as the independent oracle of the cross-engine tests it shares
+  // no container code with the engine it checks.
   struct PendingCross {
     std::uint32_t remaining_locks = 0;
     std::uint32_t output_shard = 0;

@@ -17,6 +17,9 @@ Simulation::Simulation(SimConfig config)
       result_{} {
   OPTCHAIN_EXPECTS(config_.num_shards >= 1);
   OPTCHAIN_EXPECTS(config_.tx_rate_tps > 0.0);
+  // The queue sample reschedules itself this far ahead; zero would spin at
+  // one instant forever (the comparison also rejects NaN).
+  OPTCHAIN_EXPECTS(config_.queue_sample_interval_s > 0.0);
   for (const ShardChurnEvent& change : config_.churn.events) {
     OPTCHAIN_EXPECTS(change.time_s >= 0.0);
   }
@@ -51,22 +54,24 @@ void Simulation::spawn_shard_node() {
       },
       faults));
   OPTCHAIN_ASSERT(fabric_.add_endpoint() == endpoint_of(s));
+  // The client's round-trip to the new shard, for the placement timing view.
+  // Stateless fabric propagation (= the flat model when disabled) between
+  // fixed positions, so it is computed once: the view prices region tiers
+  // and stragglers without perturbing delivery state.
+  latency::ShardTiming timing;
+  timing.mean_comm = 2.0 * fabric_.propagation_delay(kClientEndpoint,
+                                                     endpoint_of(s),
+                                                     client_position_, leader);
+  timings_.push_back(timing);
 }
 
 void Simulation::observe_timings() {
   // What a client can see of each shard (paper §IV.C): the round-trip time it
-  // samples itself, and a verification-time estimate formed from the shard's
-  // recent consensus duration scaled by the mempool backlog.
-  timings_.resize(shards_.size());
+  // samples itself (cached per shard by spawn_shard_node), and a
+  // verification-time estimate formed from the shard's recent consensus
+  // duration scaled by the mempool backlog.
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const ShardNode& shard = *shards_[s];
-    // Stateless fabric propagation (= the flat model when disabled), so the
-    // placement view prices region tiers and stragglers without perturbing
-    // delivery state.
-    timings_[s].mean_comm =
-        2.0 * fabric_.propagation_delay(
-                  kClientEndpoint, endpoint_of(static_cast<std::uint32_t>(s)),
-                  client_position_, shard.leader_position());
     const double backlog_blocks =
         static_cast<double>(shard.queue_size()) /
         static_cast<double>(config_.consensus.txs_per_block);
@@ -130,16 +135,17 @@ SimResult Simulation::run(workload::TxSource& source,
   if (hint.has_value()) {
     // Pre-size everything that scales with the stream so the run never
     // rehashes or reallocates per-transaction state mid-flight: the
-    // lock/spend ledger sees ~2 entries per transaction on Bitcoin-like
-    // workloads, and the pipeline forwards the hint to its dag, assignment
-    // and placer (TanDag::reserve / ScorePool::reserve).
-    outpoint_state_.reserve(static_cast<std::size_t>(*hint * 2));
+    // lock/spend ledger sees ~1.5 entries per transaction on Bitcoin-like
+    // workloads (225k for 150k txs), which one entry per transaction at the
+    // ledger's half-load ceiling covers, and the pipeline forwards the hint
+    // to its dag, assignment and placer (TanDag::reserve /
+    // ScorePool::reserve). The in-flight window sizes itself by doubling.
+    outpoint_state_.reserve(static_cast<std::size_t>(*hint));
     pipeline.reserve(*hint);
     if (repartition_enabled()) {
       live_outputs_.reserve(static_cast<std::size_t>(*hint));
     }
   }
-  inflight_.reserve(1024);
   // The event heap's working set is O(in-flight messages), not O(stream):
   // size it from the expected-txs hint (capped — bench_scale's
   // event_heap_peak tracks how much is actually used) so steady-state runs
@@ -292,7 +298,7 @@ void Simulation::issue_transaction(std::uint32_t index) {
   OPTCHAIN_ASSERT(staged_.index == index);
   constexpr std::uint64_t kMinPayloadBytes = 512;
 
-  Inflight flight;
+  Inflight& flight = inflight_.open(index);
   flight.issue_time = events_.now();
 
   // Client-side placement with the client's current view of shard timings
@@ -338,14 +344,13 @@ void Simulation::issue_transaction(std::uint32_t index) {
         static_cast<std::uint32_t>(staged_.outputs.size()));
   }
 
-  // The protocol only needs the inputs from here on; steal them instead of
-  // copying (staged_ is overwritten by the prefetch below anyway).
-  flight.inputs = std::move(staged_.inputs);
-  const double issue_time = flight.issue_time;
-  inflight_.emplace(index, std::move(flight));
+  // The protocol only needs the inputs from here on. Swapping hands staged_
+  // the record's cleared vector, whose capacity the prefetch below reuses,
+  // so steady-state issues allocate nothing.
+  flight.inputs.swap(staged_.inputs);
   ++outstanding_;
   ++issued_;
-  notify_issue(index, issue_time, placed.cross);
+  notify_issue(index, flight.issue_time, placed.cross);
 
   // Chain the next issue event, if the stream has one. The source owns the
   // schedule: the default is the historical uniform index/rate, and dynamic
@@ -362,8 +367,9 @@ bool Simulation::try_lock_inputs(std::uint32_t index, std::uint32_t shard) {
   const Inflight& flight = inflight_.at(index);
   for (const tx::OutPoint& point : flight.inputs) {
     if (assignment_->shard_of(point.tx) != shard) continue;
-    const auto it = outpoint_state_.find(outpoint_key(point));
-    if (it != outpoint_state_.end() && it->second.second != index) {
+    const OutpointLedger::Entry* entry =
+        outpoint_state_.find(outpoint_key(point));
+    if (entry != nullptr && entry->tx != index) {
       return false;  // held or spent by a conflicting transaction
     }
   }
@@ -378,10 +384,11 @@ void Simulation::release_locks(std::uint32_t index, std::uint32_t shard) {
   const Inflight& flight = inflight_.at(index);
   for (const tx::OutPoint& point : flight.inputs) {
     if (assignment_->shard_of(point.tx) != shard) continue;
-    const auto it = outpoint_state_.find(outpoint_key(point));
-    if (it != outpoint_state_.end() &&
-        it->second == std::make_pair(OutpointState::kLocked, index)) {
-      outpoint_state_.erase(it);
+    const std::uint64_t key = outpoint_key(point);
+    const OutpointLedger::Entry* entry = outpoint_state_.find(key);
+    if (entry != nullptr && entry->state == OutpointState::kLocked &&
+        entry->tx == index) {
+      outpoint_state_.erase(key);
     }
   }
 }
@@ -389,12 +396,12 @@ void Simulation::release_locks(std::uint32_t index, std::uint32_t shard) {
 void Simulation::spend_inputs(std::uint32_t index) {
   const Inflight& flight = inflight_.at(index);
   for (const tx::OutPoint& point : flight.inputs) {
-    auto& entry = outpoint_state_[outpoint_key(point)];
+    OutpointLedger::Entry& entry = outpoint_state_[outpoint_key(point)];
     // Without churn or repartition the lock protocol makes a conflicting
     // double-commit impossible; a retirement or re-partition move
     // mid-handoff can drop a lock, so those runs tolerate (and ignore) a
     // late conflicting spend instead of asserting.
-    if (entry.first == OutpointState::kSpent && entry.second != index) {
+    if (entry.state == OutpointState::kSpent && entry.tx != index) {
       OPTCHAIN_ASSERT(churn_enabled() || repartition_enabled());
       continue;
     }
@@ -519,13 +526,11 @@ void Simulation::handle_proof(std::uint32_t index, bool accepted,
 
 void Simulation::commit_transaction(std::uint32_t index, SimTime time) {
   OPTCHAIN_ASSERT(outstanding_ > 0);
-  const auto it = inflight_.find(index);
-  OPTCHAIN_ASSERT(it != inflight_.end());
-  const double latency = time - it->second.issue_time;
+  const double latency = time - inflight_.at(index).issue_time;
   OPTCHAIN_ASSERT(latency >= 0.0);
   ++committed_;
   --outstanding_;
-  inflight_.erase(it);
+  inflight_.erase(index);
   notify_commit(index, time, latency);
 }
 
@@ -536,11 +541,8 @@ void Simulation::abort_transaction(std::uint32_t index, SimTime time) {
 }
 
 void Simulation::erase_if_settled(std::uint32_t index) {
-  const auto it = inflight_.find(index);
-  OPTCHAIN_ASSERT(it != inflight_.end());
-  if (it->second.aborted && it->second.releases_in_flight == 0) {
-    inflight_.erase(it);
-  }
+  const Inflight& flight = inflight_.at(index);
+  if (flight.aborted && flight.releases_in_flight == 0) inflight_.erase(index);
 }
 
 void Simulation::sample_queues() {

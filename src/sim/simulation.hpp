@@ -30,17 +30,18 @@
 // Engine shape: the simulation IS the event dispatcher. Every scheduled
 // action is a typed POD Event (sim/event_queue.hpp) dispatched by the
 // on_event() switch — no per-event closures — and the transaction stream is
-// pulled from a workload::TxSource one transaction at a time, so a run
-// retains only the in-flight transactions (plus the O(1)-per-tx placement
-// state the pipeline owns), not the whole stream.
+// pulled from a workload::TxSource one transaction at a time. A run keeps a
+// record per in-flight transaction plus 4 bytes per index of the in-flight
+// span (sim/tx_state.hpp's InflightWindow; at the paper's operating point,
+// 150k txs at 6000 tps, the span peaks at 73k-78k indices and ~36k live
+// records), the lock/spend ledger (~1.5 entries per transaction), and the
+// O(1)-per-tx placement state the pipeline owns — not the whole stream.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
@@ -54,6 +55,7 @@
 #include "sim/shard_churn.hpp"
 #include "sim/shard_node.hpp"
 #include "sim/sim_observer.hpp"
+#include "sim/tx_state.hpp"
 #include "stats/metrics.hpp"
 #include "txmodel/transaction.hpp"
 #include "workload/tx_source.hpp"
@@ -195,29 +197,6 @@ class Simulation final : private EventHandler {
   const SimConfig& config() const noexcept { return config_; }
 
  private:
-  struct PendingCross {
-    std::uint32_t remaining_locks = 0;
-    std::uint32_t output_shard = 0;
-    bool rejected = false;
-    std::vector<std::uint32_t> accepted_shards;
-  };
-
-  /// Everything the protocol still needs about an issued, not-yet-terminal
-  /// transaction. Erased once the transaction commits (or aborts and every
-  /// unlock-to-abort has released its locks), which is what keeps streamed
-  /// runs at O(in-flight) memory.
-  struct Inflight {
-    double issue_time = 0.0;
-    std::vector<tx::OutPoint> inputs;
-    PendingCross cross;
-    /// Unlock-to-abort messages still traveling after an abort; the entry
-    /// stays alive until they have all released their locks.
-    std::uint32_t releases_in_flight = 0;
-    bool aborted = false;
-  };
-
-  enum class OutpointState : std::uint8_t { kLocked, kSpent };
-
   void on_event(const Event& event) override;
   void notify_issue(std::uint32_t tx, double time, bool cross);
   void notify_commit(std::uint32_t tx, double time, double latency_s);
@@ -303,16 +282,19 @@ class Simulation final : private EventHandler {
   std::uint64_t issued_ = 0;
   std::uint64_t outstanding_ = 0;  // issued, not yet terminal
   std::uint64_t committed_ = 0;
-  std::unordered_map<std::uint32_t, Inflight> inflight_;
+  InflightWindow inflight_;
   api::PlacementPipeline* pipeline_ = nullptr;
   const placement::ShardAssignment* assignment_ = nullptr;
-  std::vector<latency::ShardTiming> timings_;  // scratch for observe_timings
-  // Lock/spend ledger state per outpoint; absent key = available. Spent
-  // entries persist (double-spend detection), so this is the one per-run
-  // structure that grows with the stream — bucket-reserved from the size
-  // hint to avoid rehash storms mid-run.
-  std::unordered_map<std::uint64_t, std::pair<OutpointState, std::uint32_t>>
-      outpoint_state_;
+  /// The client's timing view, one entry per shard. `mean_comm` is constant
+  /// (stateless fabric propagation between fixed positions) and set once in
+  /// spawn_shard_node(); observe_timings() refreshes `mean_verify`.
+  std::vector<latency::ShardTiming> timings_;
+  /// Lock/spend ledger per outpoint; absent key = available. Spent entries
+  /// persist (double-spend detection), so this is the one per-run structure
+  /// that grows with the stream: ~1.5 entries per transaction on
+  /// Bitcoin-like workloads (225k for 150k txs), pre-sized from the size
+  /// hint so the run never rehashes mid-flight.
+  OutpointLedger outpoint_state_;
   std::vector<std::uint64_t> queue_sizes_;  // scratch for sample_queues
   std::vector<LinkSample> link_samples_;    // scratch for sample_queues
   /// Shard-addressed events dispatched per shard (SimResult diagnostics).

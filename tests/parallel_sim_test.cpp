@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,7 @@
 #include "trace/trace_source.hpp"
 #include "trace/trace_writer.hpp"
 #include "workload/bitcoin_like_generator.hpp"
+#include "workload/conflict_injector.hpp"
 #include "workload/tx_source.hpp"
 
 namespace optchain {
@@ -293,6 +295,44 @@ TEST(ParallelChurnTest, AddAndRemovePlansStayBitIdentical) {
   }
 }
 
+// ------------------------------------------------------ abort path
+
+// Injected double spends drive the abort path, and a shard slowed 25x keeps
+// the transactions it touches in flight while thousands of later ones
+// settle, so the sequential engine's in-flight window grows around live
+// records. OmniLedger placement does not route around the slow shard. Each
+// conflict re-spends the inputs of one of the last 8 arrivals, and 20 ms of
+// per-link jitter lets the two contenders reach their input shards in
+// different orders: both then abort, and the locks each won are released by
+// unlock-to-abort. No churn: churn with injected double spends is outside
+// the contract (see sim/parallel/parallel_simulation.hpp).
+TEST(ParallelAbortPathTest, DoubleSpendsBehindASlowShardStayBitIdentical) {
+  workload::BitcoinLikeGenerator generator({}, kStreamSeed);
+  const workload::ConflictStream injected = workload::inject_double_spends(
+      generator.generate(20000), 0.02, kStreamSeed + 1, /*window=*/8);
+  ASSERT_GT(injected.num_conflicts, 0u);
+  for (ProtocolMode protocol :
+       {ProtocolMode::kOmniLedger, ProtocolMode::kRapidChain}) {
+    SCOPED_TRACE(protocol == ProtocolMode::kOmniLedger ? "omni" : "rapid");
+    sim::SimConfig config = base_config(protocol);
+    config.shard_slowdown = {1.0, 1.0, 1.0, 25.0};
+    config.fabric.enabled = true;
+    config.fabric.max_jitter_s = 0.020;
+    const sim::SimResult sequential =
+        run_sequential(config, "OmniLedger", injected.transactions);
+    EXPECT_TRUE(sequential.completed);
+    // Without a race only the later contender aborts. More aborts than
+    // conflicts means some pairs both lost, so unlock-to-abort ran.
+    EXPECT_GT(sequential.aborted_txs, injected.num_conflicts);
+    for (std::uint32_t jobs : {1u, 4u}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      expect_bit_identical(sequential,
+                           run_parallel(config, jobs, "OmniLedger",
+                                        injected.transactions));
+    }
+  }
+}
+
 // ------------------------------------------------------ trace replay
 
 // A windowed trace replay ([500, 2500) of an on-disk stream) through both
@@ -350,6 +390,18 @@ TEST(ParallelRunSpecTest, SimJobsIsASpeedKnobNotASemanticsKnob) {
 }
 
 // --------------------------------------------------------- engine basics
+
+// Same validation point as the sequential engine: a zero interval would
+// reschedule the queue sample at one instant forever.
+TEST(ParallelEngineDeathTest, NonPositiveQueueSampleIntervalRejected) {
+  for (const double interval :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    sim::SimConfig config = base_config(ProtocolMode::kOmniLedger);
+    config.queue_sample_interval_s = interval;
+    EXPECT_DEATH((ParallelSimulation{config, 2}), "queue_sample_interval_s")
+        << interval;
+  }
+}
 
 TEST(ParallelEngineTest, ReportsItsConfiguration) {
   const sim::SimConfig config = base_config(ProtocolMode::kOmniLedger);

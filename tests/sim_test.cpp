@@ -1,18 +1,25 @@
 // Tests for the discrete-event simulator: event ordering, network/consensus
-// models, shard block production, and full-run invariants (conservation,
-// determinism, protocol semantics).
+// models, shard block production, the engine's per-transaction containers,
+// and full-run invariants (conservation, determinism, protocol semantics).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
+#include "common/hash.hpp"
 #include "placement/random_placer.hpp"
 #include "sim/consensus.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network.hpp"
 #include "sim/shard_node.hpp"
 #include "sim/simulation.hpp"
+#include "sim/tx_state.hpp"
 #include "workload/bitcoin_like_generator.hpp"
 
 namespace optchain::sim {
@@ -296,6 +303,218 @@ TEST(ShardNodeTest, LastRoundDurationTracksBlockSize) {
   EXPECT_LT(shard.last_round_duration(), initial);
 }
 
+// ---------------------------------------------------------- OutpointLedger
+
+/// `count` distinct keys whose home slot in a `slots`-slot ledger is `slot`.
+std::vector<std::uint64_t> keys_homed_at(std::size_t slot, std::size_t slots,
+                                         std::size_t count) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t key = 0; keys.size() < count; ++key) {
+    if ((mix64(key) & (slots - 1)) == slot) keys.push_back(key);
+  }
+  return keys;
+}
+
+// A cluster that starts in the last slot wraps past the array end; erasing
+// its head and then a middle member must shift the rest back without losing
+// any of them (16 slots: the default size, no growth at this load).
+TEST(OutpointLedgerTest, BackwardShiftAcrossTheArrayEnd) {
+  OutpointLedger ledger;
+  ASSERT_EQ(ledger.slot_count(), 16u);
+  const std::vector<std::uint64_t> tail = keys_homed_at(15, 16, 4);
+  const std::vector<std::uint64_t> head = keys_homed_at(0, 16, 2);
+  // Probe runs: tail[0..3] fill slots 15, 0, 1, 2; head[0..1] land in 3, 4.
+  std::vector<std::uint64_t> live;
+  for (const auto& group : {tail, head}) {
+    for (const std::uint64_t key : group) {
+      ledger[key] = {OutpointState::kSpent, static_cast<std::uint32_t>(key)};
+      live.push_back(key);
+    }
+  }
+  ASSERT_EQ(ledger.slot_count(), 16u);
+  const auto expect_live = [&] {
+    EXPECT_EQ(ledger.size(), live.size());
+    for (const std::uint64_t key : live) {
+      const OutpointLedger::Entry* entry = ledger.find(key);
+      ASSERT_NE(entry, nullptr) << "key " << key;
+      EXPECT_EQ(entry->state, OutpointState::kSpent);
+      EXPECT_EQ(entry->tx, static_cast<std::uint32_t>(key));
+    }
+  };
+  for (const std::uint64_t victim : {tail[0], tail[2], head[0], tail[3]}) {
+    EXPECT_TRUE(ledger.erase(victim));
+    EXPECT_FALSE(ledger.erase(victim));
+    EXPECT_EQ(ledger.find(victim), nullptr);
+    std::erase(live, victim);
+    expect_live();
+  }
+}
+
+// A seeded random mix of find, insert-default and erase against a
+// std::unordered_map oracle. The key pool is small, so the table stays a few
+// dozen slots: clusters form, probe runs wrap, erases hit their middles, and
+// the table grows from 16 slots as the live count climbs.
+TEST(OutpointLedgerTest, MatchesUnorderedMapOracle) {
+  std::mt19937_64 rng(20261017);
+  std::vector<std::uint64_t> pool;
+  for (int i = 0; i < 40; ++i) pool.push_back(rng());
+  OutpointLedger ledger;
+  std::unordered_map<std::uint64_t, OutpointLedger::Entry> oracle;
+  std::size_t max_size = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const std::uint64_t key = pool[rng() % pool.size()];
+    const auto it = oracle.find(key);
+    switch (rng() % 3) {
+      case 0: {  // find
+        const OutpointLedger::Entry* entry = ledger.find(key);
+        ASSERT_EQ(entry != nullptr, it != oracle.end());
+        if (entry != nullptr) {
+          EXPECT_EQ(entry->state, it->second.state);
+          EXPECT_EQ(entry->tx, it->second.tx);
+        }
+        break;
+      }
+      case 1: {  // insert-default, then overwrite
+        OutpointLedger::Entry& entry = ledger[key];
+        const OutpointLedger::Entry expected =
+            it == oracle.end() ? OutpointLedger::Entry{} : it->second;
+        EXPECT_EQ(entry.state, expected.state);
+        EXPECT_EQ(entry.tx, expected.tx);
+        const OutpointLedger::Entry next{
+            rng() % 2 ? OutpointState::kSpent : OutpointState::kLocked,
+            static_cast<std::uint32_t>(rng())};
+        entry = next;
+        oracle[key] = next;
+        break;
+      }
+      default:  // erase
+        EXPECT_EQ(ledger.erase(key), it != oracle.end());
+        oracle.erase(key);
+        break;
+    }
+    ASSERT_EQ(ledger.size(), oracle.size());
+    max_size = std::max(max_size, ledger.size());
+  }
+  EXPECT_GT(ledger.slot_count(), 16u);  // grew
+  EXPECT_GE(ledger.slot_count(), 2 * max_size);
+  for (const std::uint64_t key : pool) {
+    const OutpointLedger::Entry* entry = ledger.find(key);
+    const auto it = oracle.find(key);
+    ASSERT_EQ(entry != nullptr, it != oracle.end());
+    if (entry != nullptr) {
+      EXPECT_EQ(entry->tx, it->second.tx);
+    }
+  }
+}
+
+TEST(OutpointLedgerTest, ReserveAndClearKeepTheTable) {
+  OutpointLedger ledger;
+  ledger.reserve(100);
+  const std::size_t slots = ledger.slot_count();
+  EXPECT_EQ(slots, 256u);  // the next power of two at half load
+  for (std::uint64_t key = 0; key < 100; ++key) ledger[key << 32];
+  EXPECT_EQ(ledger.size(), 100u);
+  EXPECT_EQ(ledger.slot_count(), slots);  // no rehash within the reservation
+  ledger.clear();
+  EXPECT_EQ(ledger.size(), 0u);
+  EXPECT_EQ(ledger.slot_count(), slots);
+  EXPECT_EQ(ledger.find(0), nullptr);
+}
+
+// ---------------------------------------------------------- InflightWindow
+
+TEST(InflightWindowTest, ErasesInAnyOrder) {
+  InflightWindow window;
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    window.open(i).issue_time = static_cast<double>(i);
+  }
+  for (const std::uint32_t i : {5u, 2u, 0u, 9u}) window.erase(i);
+  EXPECT_EQ(window.size(), 6u);
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    const bool open = i == 1 || i == 3 || i == 4 || (i >= 6 && i <= 8);
+    EXPECT_EQ(window.contains(i), open) << i;
+    if (open) {
+      EXPECT_EQ(window.at(i).issue_time, static_cast<double>(i));
+    }
+  }
+  window.open(10).issue_time = 10.0;
+  for (const std::uint32_t i : {7u, 1u, 10u, 4u, 8u, 3u, 6u}) window.erase(i);
+  EXPECT_EQ(window.size(), 0u);
+  EXPECT_FALSE(window.contains(10));
+  window.open(11);
+  EXPECT_TRUE(window.contains(11));
+}
+
+// One record held open while thousands of later indices open and settle:
+// the ring doubles around it and the record keeps its contents. Indices
+// that settle promptly never make the ring grow.
+TEST(InflightWindowTest, LongLivedRecordSurvivesRingDoublings) {
+  InflightWindow window;
+  const std::size_t initial_span = window.span_capacity();
+  for (std::uint32_t i = 0; i < 4 * initial_span; ++i) {
+    window.open(i);
+    window.erase(i);
+  }
+  EXPECT_EQ(window.span_capacity(), initial_span);
+
+  const auto first = static_cast<std::uint32_t>(4 * initial_span);
+  Inflight& held = window.open(first);
+  held.issue_time = 42.0;
+  held.inputs = {{7, 1}, {8, 2}};
+  const auto last = first + static_cast<std::uint32_t>(8 * initial_span);
+  for (std::uint32_t i = first + 1; i <= last; ++i) {
+    window.open(i).issue_time = static_cast<double>(i);
+    if (i - 1 > first) window.erase(i - 1);
+  }
+  EXPECT_GE(window.span_capacity(), 8 * initial_span + 1);
+  EXPECT_EQ(window.size(), 2u);
+  ASSERT_TRUE(window.contains(first));
+  EXPECT_EQ(&window.at(first), &held);  // records never move
+  EXPECT_EQ(held.issue_time, 42.0);
+  EXPECT_EQ(held.inputs, (std::vector<tx::OutPoint>{{7, 1}, {8, 2}}));
+  EXPECT_EQ(window.at(last).issue_time, static_cast<double>(last));
+  window.erase(first);
+  window.erase(last);
+  EXPECT_EQ(window.size(), 0u);
+}
+
+TEST(InflightWindowTest, RecycledRecordStartsReset) {
+  InflightWindow window;
+  Inflight& used = window.open(0);
+  used.issue_time = 1.5;
+  used.inputs = {{3, 0}, {4, 1}};
+  used.cross.remaining_locks = 3;
+  used.cross.output_shard = 2;
+  used.cross.rejected = true;
+  used.cross.accepted_shards = {1, 2};
+  used.releases_in_flight = 2;
+  used.aborted = true;
+  window.erase(0);
+
+  Inflight& recycled = window.open(1);
+  EXPECT_EQ(&recycled, &used);
+  EXPECT_EQ(recycled.issue_time, 0.0);
+  EXPECT_TRUE(recycled.inputs.empty());
+  EXPECT_GE(recycled.inputs.capacity(), 2u);  // capacity kept for reuse
+  EXPECT_EQ(recycled.cross.remaining_locks, 0u);
+  EXPECT_EQ(recycled.cross.output_shard, 0u);
+  EXPECT_FALSE(recycled.cross.rejected);
+  EXPECT_TRUE(recycled.cross.accepted_shards.empty());
+  EXPECT_EQ(recycled.releases_in_flight, 0u);
+  EXPECT_FALSE(recycled.aborted);
+}
+
+TEST(InflightWindowDeathTest, MembershipIsChecked) {
+  InflightWindow window;
+  window.open(0);
+  window.open(1);
+  window.erase(0);
+  EXPECT_DEATH(window.at(0), "Invariant");
+  EXPECT_DEATH(window.erase(0), "Invariant");
+  EXPECT_DEATH(window.at(2), "Invariant");
+  EXPECT_DEATH(window.open(3), "Precondition");  // 2 is next
+}
+
 // -------------------------------------------------------------- Simulation
 
 SimConfig small_config(std::uint32_t shards, double rate) {
@@ -469,6 +688,17 @@ TEST(SimulationTest, ShardSizesSumToTotal) {
   std::uint64_t sum = 0;
   for (const auto s : result.final_shard_sizes) sum += s;
   EXPECT_EQ(sum, txs.size());
+}
+
+// A zero interval would reschedule the queue sample at one instant forever;
+// negative and NaN intervals would fail deep inside the event queue.
+TEST(SimulationDeathTest, NonPositiveQueueSampleIntervalRejected) {
+  for (const double interval :
+       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    SimConfig config = small_config(2, 100.0);
+    config.queue_sample_interval_s = interval;
+    EXPECT_DEATH(Simulation{config}, "queue_sample_interval_s") << interval;
+  }
 }
 
 TEST(SimulationTest, HorizonAbortReportsIncomplete) {
