@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <utility>
 
 #include "api/placer_registry.hpp"
@@ -332,102 +330,6 @@ int run_fig11(const Flags& flags, JsonWriter* json) {
   return 0;
 }
 
-// -------------------------------------------------------- parallel (custom)
-
-/// Wall-clock one simulate() call and return (report, seconds).
-std::pair<api::RunReport, double> timed_simulate(
-    const api::RunSpec& spec, std::span<const tx::Transaction> txs) {
-  const auto start = std::chrono::steady_clock::now();
-  api::RunReport report = api::simulate(spec, txs);
-  const std::chrono::duration<double> wall =
-      std::chrono::steady_clock::now() - start;
-  return {std::move(report), wall.count()};
-}
-
-/// Engine benchmark, not a paper figure: the sequential engine vs the
-/// conservative parallel engine (sim/parallel/) on one big run, reporting
-/// wall-clock, events/s and speedup per --sim_jobs value. Bit-identity of
-/// the results is asserted, not assumed — a mismatch fails the scenario.
-int run_parallel_bench(const Flags& flags, JsonWriter* json) {
-  const std::uint64_t seed = seed_of(flags);
-  const std::uint64_t n = sized(flags, 100'000, 5'000);
-  const auto shards =
-      static_cast<std::uint32_t>(flags.get_int("k", 16));
-  const double rate = flags.get_double("rate", 4000.0);
-  const auto jobs_axis =
-      flags.get_int_list("sim_jobs", std::vector<std::int64_t>{1, 2, 4});
-
-  std::printf("%llu txs, %u shards, %.0f tps; sequential baseline then "
-              "--sim_jobs axis\n\n",
-              static_cast<unsigned long long>(n), shards, rate);
-  const auto txs = make_stream(n, seed);
-
-  api::RunSpec spec;
-  spec.method = "OptChain";
-  spec.num_shards = shards;
-  spec.seed = seed;
-  spec.rate_tps = rate;
-  spec.commit_window_s = 10.0;
-
-  const auto [baseline, baseline_wall] = timed_simulate(spec, txs);
-  const double baseline_events_per_s =
-      static_cast<double>(baseline.sim->total_events) / baseline_wall;
-
-  TextTable table({"engine", "wall(s)", "events/s", "speedup"});
-  table.add_row({"sequential", TextTable::fmt(baseline_wall, 3),
-                 TextTable::fmt(baseline_events_per_s, 0), "1.00"});
-  if (json != nullptr) {
-    json->field("txs", static_cast<double>(n))
-        .field("shards", static_cast<double>(shards))
-        .field("rate_tps", rate)
-        .field("total_events",
-               static_cast<double>(baseline.sim->total_events))
-        .begin_object("sequential")
-        .field("wall_s", baseline_wall)
-        .field("events_per_s", baseline_events_per_s)
-        .field("speedup", 1.0)
-        .end_object();
-  }
-
-  int exit_code = 0;
-  for (const std::int64_t jobs : jobs_axis) {
-    spec.sim_jobs = static_cast<std::uint32_t>(jobs);
-    const auto [report, wall] = timed_simulate(spec, txs);
-    // The determinism contract, enforced where the numbers are produced.
-    if (report.sim->total_events != baseline.sim->total_events ||
-        report.sim->avg_latency_s != baseline.sim->avg_latency_s) {
-      std::fprintf(stderr,
-                   "parallel: sim_jobs=%lld DIVERGED from the sequential "
-                   "engine (events %llu vs %llu)\n",
-                   static_cast<long long>(jobs),
-                   static_cast<unsigned long long>(report.sim->total_events),
-                   static_cast<unsigned long long>(
-                       baseline.sim->total_events));
-      exit_code = 1;
-    }
-    const double events_per_s =
-        static_cast<double>(report.sim->total_events) / wall;
-    const double speedup = baseline_wall / wall;
-    const std::string label = "jobs=" + std::to_string(jobs);
-    table.add_row({label, TextTable::fmt(wall, 3),
-                   TextTable::fmt(events_per_s, 0),
-                   TextTable::fmt(speedup, 2)});
-    if (json != nullptr) {
-      json->begin_object(label)
-          .field("wall_s", wall)
-          .field("events_per_s", events_per_s)
-          .field("speedup", speedup)
-          .end_object();
-    }
-  }
-  table.print();
-  maybe_save_csv(flags, "parallel_engine", table);
-  std::printf("\nresults are bit-identical across engines by contract; "
-              "speedup needs real cores (events/s saturates at the memory "
-              "bus on 1-core hosts)\n");
-  return exit_code;
-}
-
 // --------------------------------------------------------- network (custom)
 
 /// Link-fabric study, not a paper figure: the placement lineup under
@@ -603,25 +505,12 @@ int run_batch_bench(const Flags& flags, JsonWriter* json) {
 
 // --------------------------------------------------- observability (custom)
 
-/// A whole file as raw bytes (trace bit-identity checks).
-std::string slurp(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot open " + path);
-  std::ostringstream out;
-  out << file.rdbuf();
-  return out.str();
-}
-
 /// Observability benchmark, not a paper figure: the run-telemetry layer
-/// (src/obs) end to end. Three checks on one operating point:
-///  1. trace bit-identity — the .otrace bytes a RunTracer captures are
-///     byte-for-byte equal at every --sim_jobs value (determinism rule 9);
-///     a mismatch fails the scenario,
-///  2. tracer overhead — traced vs untraced wall-clock (best of --reps);
-///     above --max_overhead (default 5%) the scenario fails,
-///  3. engine-phase profile — a --profile run's phase-A/phase-B split.
-/// Publishes the trace (--trace_out) and its Perfetto export
-/// (--export_out), so CI uploads an openable ui.perfetto.dev artifact.
+/// (src/obs) end to end on one operating point. It publishes one run's
+/// trace (--trace_out) and its Perfetto export (--export_out), so CI
+/// uploads an openable ui.perfetto.dev artifact, then checks the tracer
+/// overhead — traced vs untraced wall-clock (best of --reps); above
+/// --max_overhead (default 5%) the scenario fails.
 int run_observability(const Flags& flags, JsonWriter* json) {
   const std::uint64_t seed = seed_of(flags);
   const std::uint64_t n = sized(flags, 100'000, 4'000);
@@ -634,11 +523,9 @@ int run_observability(const Flags& flags, JsonWriter* json) {
       flags.get_string("trace_out", "obs_run.otrace");
   const std::string export_out =
       flags.get_string("export_out", "obs_run.perfetto.json");
-  const auto jobs_axis =
-      flags.get_int_list("sim_jobs", std::vector<std::int64_t>{0, 1, 4});
 
-  std::printf("%llu txs, %u shards, %.0f tps; trace identity over "
-              "--sim_jobs, tracer overhead (best of %d), phase profile\n\n",
+  std::printf("%llu txs, %u shards, %.0f tps; trace capture, tracer "
+              "overhead (best of %d)\n\n",
               static_cast<unsigned long long>(n), shards, rate, reps);
   const auto txs = make_stream(n, seed);
 
@@ -653,63 +540,15 @@ int run_observability(const Flags& flags, JsonWriter* json) {
     json->field("txs", n).field("shards", shards).field("rate_tps", rate);
   }
 
-  // 1. Trace bit-identity across engines (determinism rule 9).
-  int exit_code = 0;
-  const auto temp = std::filesystem::temp_directory_path();
-  std::string baseline_bytes;
-  std::string baseline_path;
-  std::uint64_t trace_records = 0;
-  TextTable identity_table({"sim_jobs", "records", "bytes", "identical"});
-  for (const std::int64_t jobs : jobs_axis) {
-    const std::string path =
-        (temp / ("optchain_obs_j" + std::to_string(jobs) + "_s" +
-                 std::to_string(seed) + ".otrace"))
-            .string();
-    obs::RunTracer tracer(path);
-    api::RunSpec traced = spec;
-    traced.sim_jobs = static_cast<std::uint32_t>(jobs);
-    traced.observers.push_back(&tracer);
-    api::simulate(traced, txs);
-    const std::uint64_t records = tracer.finish();
-    const std::string bytes = slurp(path);
-    bool identical = true;
-    if (baseline_path.empty()) {
-      baseline_path = path;
-      baseline_bytes = bytes;
-      trace_records = records;
-    } else {
-      identical = bytes == baseline_bytes;
-    }
-    if (!identical) {
-      std::fprintf(stderr,
-                   "observability: sim_jobs=%lld trace DIVERGED from "
-                   "sim_jobs=%lld (rule 9 violation)\n",
-                   static_cast<long long>(jobs),
-                   static_cast<long long>(jobs_axis.front()));
-      exit_code = 1;
-    }
-    identity_table.add_row(
-        {std::to_string(jobs),
-         TextTable::fmt_int(static_cast<long long>(records)),
-         TextTable::fmt_int(static_cast<long long>(bytes.size())),
-         identical ? "yes" : "NO"});
-    if (json != nullptr) {
-      json->begin_object("trace_jobs" + std::to_string(jobs))
-          .field("records", records)
-          .field("bytes", static_cast<std::uint64_t>(bytes.size()))
-          .field("identical", identical)
-          .end_object();
-    }
-  }
-  std::printf("-- trace bit-identity across --sim_jobs --\n");
-  identity_table.print();
-
-  // Publish the artifacts: the sequential trace and its Perfetto export.
-  std::filesystem::copy_file(baseline_path, trace_out,
-                             std::filesystem::copy_options::overwrite_existing);
+  // 1. Publish the artifacts: one traced run and its Perfetto export.
+  obs::RunTracer tracer(trace_out);
+  api::RunSpec traced = spec;
+  traced.observers.push_back(&tracer);
+  api::simulate(traced, txs);
+  const std::uint64_t trace_records = tracer.finish();
   const std::uint64_t perfetto_events =
       obs::export_chrome_trace(trace_out, export_out);
-  std::printf("\nwrote %s (%llu records) and %s (%llu trace events; open "
+  std::printf("wrote %s (%llu records) and %s (%llu trace events; open "
               "in ui.perfetto.dev)\n",
               trace_out.c_str(),
               static_cast<unsigned long long>(trace_records),
@@ -731,6 +570,7 @@ int run_observability(const Flags& flags, JsonWriter* json) {
   const std::uint64_t overhead_n = std::max<std::uint64_t>(n, 16'000);
   const std::vector<tx::Transaction> overhead_txs =
       overhead_n == n ? txs : make_stream(overhead_n, seed);
+  const auto temp = std::filesystem::temp_directory_path();
   const auto best_wall = [&](bool with_tracer) {
     double best = std::numeric_limits<double>::infinity();
     for (int rep = 0; rep < reps; ++rep) {
@@ -761,43 +601,20 @@ int run_observability(const Flags& flags, JsonWriter* json) {
   std::printf("untraced %.3fs, traced %.3fs: %+.1f%% (budget %.0f%%)\n",
               untraced_wall, traced_wall, 100.0 * overhead,
               100.0 * max_overhead);
-  if (overhead > max_overhead) {
-    std::fprintf(stderr,
-                 "observability: tracer overhead %.1f%% exceeds the %.0f%% "
-                 "budget\n",
-                 100.0 * overhead, 100.0 * max_overhead);
-    exit_code = 1;
-  }
   if (json != nullptr) {
     json->field("untraced_wall_s", untraced_wall)
         .field("traced_wall_s", traced_wall)
         .field("tracer_overhead", overhead)
         .field("max_overhead", max_overhead);
   }
-
-  // 3. Engine-phase profile: the parallel engine's phase-A/phase-B split.
-  api::RunSpec profiled = spec;
-  profiled.sim_jobs = static_cast<std::uint32_t>(flags.get_int("jobs", 4));
-  profiled.profile = true;
-  const api::RunReport report = api::simulate(profiled, txs);
-  std::printf("\n-- engine phase profile (sim_jobs=%u) --\n",
-              profiled.sim_jobs);
-  TextTable profile_table({"phase", "wall(s)", "calls"});
-  if (json != nullptr) json->begin_object("profile");
-  for (const api::ProfileEntry& entry : report.profile) {
-    profile_table.add_row({entry.phase, TextTable::fmt(entry.seconds, 4),
-                           TextTable::fmt_int(
-                               static_cast<long long>(entry.calls))});
-    if (json != nullptr) {
-      json->begin_object(entry.phase)
-          .field("seconds", entry.seconds)
-          .field("calls", entry.calls)
-          .end_object();
-    }
+  if (overhead > max_overhead) {
+    std::fprintf(stderr,
+                 "observability: tracer overhead %.1f%% exceeds the %.0f%% "
+                 "budget\n",
+                 100.0 * overhead, 100.0 * max_overhead);
+    return 1;
   }
-  if (json != nullptr) json->end_object();
-  profile_table.print();
-  return exit_code;
+  return 0;
 }
 
 // ----------------------------------------------------------- trace (custom)
@@ -1765,15 +1582,6 @@ std::vector<Scenario> build_registry() {
         }},
        shape_repartition,
        nullptr});
-  registry.push_back({"parallel",
-                      "parallel engine events/s + speedup vs sequential "
-                      "(--sim_jobs=1,2,4 --k= --rate=)",
-                      "engineering benchmark (determinism contract of "
-                      "sim/parallel/)",
-                      {},
-                      nullptr,
-                      run_parallel_bench,
-                      /*exclude_from_all=*/true});
   registry.push_back({"batch",
                       "micro-batched placement tx/s + speedup vs the "
                       "tx-at-a-time loop (--place_jobs=1,2,4 --batch= "
@@ -1785,9 +1593,9 @@ std::vector<Scenario> build_registry() {
                       run_batch_bench,
                       /*exclude_from_all=*/true});
   registry.push_back({"observability",
-                      "run-telemetry layer: trace bit-identity over "
-                      "--sim_jobs, tracer overhead budget, engine phase "
-                      "profile (--max_overhead= --reps= --trace_out=)",
+                      "run-telemetry layer: trace + Perfetto export, "
+                      "tracer overhead budget (--max_overhead= --reps= "
+                      "--trace_out=)",
                       "engineering benchmark (src/obs; determinism rule 9)",
                       {},
                       nullptr,

@@ -6,7 +6,7 @@
 #include "api/batch_pipeline.hpp"
 #include "api/placement_pipeline.hpp"
 #include "obs/phase_profiler.hpp"
-#include "sim/parallel/parallel_simulation.hpp"
+#include "sim/simulation.hpp"
 
 namespace optchain::api {
 namespace {
@@ -43,7 +43,7 @@ class ProfileScope {
 /// Streams `source` through the front-end the spec selects: the micro-
 /// batched engine when place_jobs ≥ 1, the tx-at-a-time loop otherwise.
 /// Results are bit-identical either way — place_jobs is a speed knob, not a
-/// semantics knob (the PR 6 sim_jobs contract, extended to placement).
+/// semantics knob.
 StreamOutcome run_placement(const RunSpec& spec, workload::TxSource& source,
                             PlacementPipeline& pipeline,
                             std::span<const std::uint32_t> warm_parts = {}) {
@@ -55,20 +55,10 @@ StreamOutcome run_placement(const RunSpec& spec, workload::TxSource& source,
   return pipeline.place_stream(source, warm_parts);
 }
 
-/// Runs `source` through the engine the spec selects: the conservative
-/// parallel engine when sim_jobs ≥ 1 and the fabric gives it a positive
-/// lookahead (its min delivery delay; the network base latency when the
-/// fabric is disabled), the sequential engine otherwise. Results are
-/// bit-identical either way — sim_jobs is a speed knob, not a semantics
-/// knob, fabric runs included.
+/// Runs `source` through the simulation engine at the spec's operating point.
 sim::SimResult run_engine(const RunSpec& spec, workload::TxSource& source,
                           PlacementPipeline& pipeline) {
-  const sim::SimConfig config = spec.sim_config();
-  if (spec.sim_jobs >= 1 && config.fabric.min_delay(config.network) > 0.0) {
-    sim::parallel::ParallelSimulation simulation(config, spec.sim_jobs);
-    return simulation.run(source, pipeline);
-  }
-  sim::Simulation simulation(config);
+  sim::Simulation simulation(spec.sim_config());
   return simulation.run(source, pipeline);
 }
 
@@ -149,7 +139,7 @@ TextTable RunReport::to_table() const {
                        shard_sizes[s]))});
   }
   // Wall-clock phase profile (RunSpec::profile runs only) — e.g. the
-  // parallel engine's phase-A vs phase-B split. Deliberately last: these
+  // batch front-end's prepare/score/commit split. Deliberately last: these
   // rows are non-reproducible timings, not results.
   for (const ProfileEntry& entry : profile) {
     table.add_row({"profile " + entry.phase + " (s)",

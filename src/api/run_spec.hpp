@@ -49,17 +49,10 @@ struct RunSpec {
   /// path unchanged. Start from sim::fabric_preset("wan"), etc.
   sim::FabricConfig fabric;
 
-  /// Worker threads for the conservative parallel engine
-  /// (sim/parallel/parallel_simulation.hpp). 0 = the sequential engine;
-  /// any value ≥ 1 produces bit-identical results (simulate() only).
-  /// Falls back to sequential when the network model has no positive base
-  /// latency (the parallel engine's lookahead).
-  std::uint32_t sim_jobs = 0;
-
   /// Scoring workers of the micro-batched placement front-end
   /// (api/batch_pipeline.hpp). 0 = the classic tx-at-a-time loop; any value
   /// ≥ 1 routes place() through BatchPlacementPipeline with that many
-  /// workers — bit-identical results, like sim_jobs (place() only).
+  /// workers — bit-identical results (place() only).
   std::uint32_t place_jobs = 0;
 
   /// Micro-batch length of the batched front-end (used when place_jobs ≥ 1).
@@ -82,10 +75,10 @@ struct RunSpec {
   /// being hand-wired into a driver binary.
   std::vector<sim::SimObserver*> observers;
 
-  /// Collect wall-clock engine-phase timings (obs::PhaseProfiler) for this
-  /// run into RunReport::profile — the parallel engine's phase-A/phase-B
-  /// split, the batch front-end's prepare/score/commit stages. The CLI's
-  /// --profile. Wall-clock only: results, goldens and traces are untouched.
+  /// Collect wall-clock phase timings (obs::PhaseProfiler) for this run
+  /// into RunReport::profile — the batch front-end's prepare/score/commit
+  /// stages. The CLI's --profile. Wall-clock only: results, goldens and
+  /// traces are untouched.
   bool profile = false;
 
   /// The full SimConfig this spec describes.
@@ -97,7 +90,7 @@ struct RunSpec {
 /// contributed. Mirrors obs::PhaseEntry without making this header depend
 /// on src/obs.
 struct ProfileEntry {
-  std::string phase;        ///< e.g. "sim.parallel.phase_b"
+  std::string phase;        ///< e.g. "place.batch.score"
   double seconds = 0.0;     ///< accumulated wall-clock seconds
   std::uint64_t calls = 0;  ///< scoped sections accumulated
 };

@@ -111,10 +111,6 @@ struct ScenarioSpec {
   /// Disabled by default (interval 0); see sim/repartition.hpp and
   /// RunSpec::repartition for the seed-derivation rule.
   sim::RepartitionConfig repartition;
-  /// Worker threads of the in-simulation parallel engine (0 = sequential;
-  /// bit-identical either way — see RunSpec::sim_jobs). Orthogonal to
-  /// SweepRunner's cross-cell `jobs`.
-  std::uint32_t sim_jobs = 0;
   /// Scoring workers of the micro-batched placement front-end applied to
   /// every placement cell (0 = the tx-at-a-time loop; bit-identical either
   /// way — see RunSpec::place_jobs). Orthogonal to SweepRunner's `jobs`.

@@ -36,8 +36,7 @@
 //                 varint deferred_txs
 //
 // Every field is simulated-time data: trace content is a pure function of
-// the run's seeds and bit-identical across engines at any sim_jobs
-// (determinism rule 9). No wall-clock value is ever encoded.
+// the run's seeds (determinism rule 9). No wall-clock value is ever encoded.
 #pragma once
 
 #include <cstddef>

@@ -4,10 +4,6 @@ namespace optchain::obs {
 
 const char* phase_name(Phase phase) noexcept {
   switch (phase) {
-    case Phase::kSimPhaseA:
-      return "sim.parallel.phase_a";
-    case Phase::kSimPhaseB:
-      return "sim.parallel.phase_b";
     case Phase::kBatchPrepare:
       return "place.batch.prepare";
     case Phase::kBatchScore:

@@ -1,19 +1,14 @@
-// Wall-clock phase profiling for the execution engines (src/obs).
+// Wall-clock phase profiling for the threaded front-ends (src/obs).
 //
-// The ROADMAP's parallel-engine item is blocked on measurement: "profile
-// the phase-B coordinator replay (it is the serial fraction — Amdahl
-// ceiling)". PhaseProfiler answers that with scoped wall-clock timers on a
-// fixed set of engine phases — the parallel engine's phase-A/phase-B split,
-// the batch front-end's prepare/score/commit stages, and SweepRunner cell
-// execution — surfaced as the `profile` section of api::RunReport and the
-// bench JSON.
+// Scoped wall-clock timers on a fixed set of phases — the batch
+// front-end's prepare/score/commit stages and SweepRunner cell execution —
+// surfaced as the `profile` section of api::RunReport and the bench JSON.
 //
 // Wall-clock data is STRICTLY segregated from simulated-time results
 // (determinism rule 9, docs/ARCHITECTURE.md): nothing here ever feeds a
 // SimResult, an .otrace record, a golden, or any other deterministic
 // artifact. The profiler is globally off by default; a disabled ScopedPhase
-// is one relaxed atomic load — cheap enough to leave in the engines' inner
-// loops.
+// is one relaxed atomic load — cheap enough to leave in inner loops.
 #pragma once
 
 #include <array>
@@ -28,16 +23,14 @@ namespace optchain::obs {
 /// The instrumented engine phases. Fixed slots (not a name registry) keep
 /// the hot-path cost to an indexed atomic add.
 enum class Phase : std::uint8_t {
-  kSimPhaseA = 0,   ///< parallel engine: workers execute a window
-  kSimPhaseB,       ///< parallel engine: coordinator merged replay (serial)
-  kBatchPrepare,    ///< batch front-end: drain + TaN registration
-  kBatchScore,      ///< batch front-end: parallel gather/score
-  kBatchCommit,     ///< batch front-end: sequential argmax + commit
-  kSweepCell,       ///< sweep runner: one cell end-to-end
-  kCount            ///< slot count, not a phase
+  kBatchPrepare = 0,  ///< batch front-end: drain + TaN registration
+  kBatchScore,        ///< batch front-end: parallel gather/score
+  kBatchCommit,       ///< batch front-end: sequential argmax + commit
+  kSweepCell,         ///< sweep runner: one cell end-to-end
+  kCount              ///< slot count, not a phase
 };
 
-/// Stable lowercase name of a phase (e.g. "sim.parallel.phase_a").
+/// Stable lowercase name of a phase (e.g. "place.batch.score").
 const char* phase_name(Phase phase) noexcept;
 
 /// One finished profile row: accumulated wall-clock seconds and the number
@@ -51,8 +44,8 @@ struct PhaseEntry {
 /// Process-global accumulator of wall-clock phase timings. Disabled by
 /// default; api::simulate()/place() enable it for the duration of a run
 /// when RunSpec::profile is set (the CLI's --profile). Accumulation is
-/// thread-safe (per-slot atomics) — workers and the coordinator time their
-/// phases concurrently under the sweep pool and the parallel engine.
+/// thread-safe (per-slot atomics) — the batch front-end's workers and the
+/// sweep pool time their phases concurrently.
 class PhaseProfiler {
  public:
   /// The process-wide profiler instance.

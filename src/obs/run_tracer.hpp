@@ -12,10 +12,10 @@
 //   api::RunReport report = api::simulate(spec, txs);
 //   tracer.finish();
 //
-// Because both engines fire observer callbacks in the exact sequential
-// dispatch order (the parallel engine during phase-B replay), the produced
-// byte stream is bit-identical at any sim_jobs — determinism rule 9,
-// pinned by tests/engine_equivalence_test.cpp. Export with optchain-obs or
+// Observer callbacks fire in event dispatch order and carry only
+// simulated-time data, so the produced byte stream is a pure function of the
+// run's seeds — determinism rule 9, pinned by the .otrace digests in
+// tests/sim_fingerprint_test.cpp. Export with optchain-obs or
 // obs::write_chrome_trace (obs/chrome_export.hpp) to open a run in
 // ui.perfetto.dev.
 #pragma once

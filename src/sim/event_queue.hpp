@@ -3,15 +3,14 @@
 // Events are typed POD records in a flat binary heap keyed by
 // (time, content, sequence): time ties break on the event's *content*
 // (a per-type rank, then the payload fields), with the schedule-order
-// sequence number only as the final fallback. A content key instead of pure
-// schedule order is what makes the order reproducible across engines — the
-// parallel engine (sim/parallel/) runs one queue per shard group and merges
-// worker streams by the same key, so both engines execute events in exactly
-// the same order even though their per-queue sequence numbers differ. No two
-// distinct simultaneous protocol events share a full content key (shard, tx
-// and type disambiguate every message class), so the seq fallback never
-// decides between engines. Determinism is tested in tests/sim_test.cpp and
-// the cross-engine contract in tests/parallel_sim_test.cpp.
+// sequence number only as the final fallback. No two distinct simultaneous
+// protocol events share a full content key (shard, tx and type disambiguate
+// every message class), so the order does not depend on when an event was
+// scheduled. The content key once let a second engine merge per-shard
+// queues into this exact order; it stays because the goldens
+// (tests/golden_test.cpp) and the fingerprints
+// (tests/sim_fingerprint_test.cpp) pin the event order it produces.
+// Ordering itself is tested in tests/sim_test.cpp.
 //
 // The rank orders simultaneous events sensibly: scripted churn first (a
 // membership change at time t precedes t's traffic), then re-partition
@@ -29,7 +28,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "common/assert.hpp"
@@ -88,8 +86,7 @@ struct Event {
 
   /// Rank of this event among simultaneous events (smaller fires first):
   /// churn < repartition < queue sample < client issue < everything else.
-  /// Part of the deterministic tie-break key shared by the sequential and
-  /// parallel engines (see the file comment).
+  /// Part of the deterministic tie-break key (see the file comment).
   static constexpr std::uint8_t tie_rank(EventType type) noexcept {
     switch (type) {
       case EventType::kShardChange:
@@ -107,8 +104,7 @@ struct Event {
 
   /// Content-key comparison of two simultaneous events: rank, then shard,
   /// tx, flag, and type as the final content discriminators. Returns <0, 0
-  /// or >0 like memcmp. Exposed so the parallel engine's record merge orders
-  /// cross-queue ties exactly like a single queue would.
+  /// or >0 like memcmp.
   friend constexpr int content_order(const Event& a, const Event& b) noexcept {
     const std::uint8_t ra = Event::tie_rank(a.type);
     const std::uint8_t rb = Event::tie_rank(b.type);
@@ -133,15 +129,6 @@ inline std::size_t event_heap_reserve(
   if (!expected_txs.has_value()) return kMin;
   return std::max(kMin, std::min(static_cast<std::size_t>(*expected_txs),
                                  kMax));
-}
-
-/// Full cross-engine ordering key of a scheduled event: (time, content).
-/// Strict-weak; equal keys (same time, same content) only occur for the
-/// *same* logical event, so any per-queue seq fallback is engine-local.
-constexpr bool event_key_less(SimTime ta, const Event& ea, SimTime tb,
-                              const Event& eb) noexcept {
-  if (ta != tb) return ta < tb;
-  return content_order(ea, eb) < 0;
 }
 
 /// Receives popped events; the owner of the queue implements the dispatch
@@ -177,49 +164,6 @@ class EventQueue {
   /// Largest number of events ever pending at once — the heap's true working
   /// set, reported by bench_scale as the engine's memory-shape baseline.
   std::size_t peak_pending() const noexcept { return peak_pending_; }
-
-  /// Time of the earliest pending event (queue must be non-empty).
-  SimTime next_time() const noexcept {
-    OPTCHAIN_EXPECTS(!heap_.empty());
-    return heap_.front().time;
-  }
-  /// The earliest pending event itself (queue must be non-empty).
-  const Event& next_event() const noexcept {
-    OPTCHAIN_EXPECTS(!heap_.empty());
-    return heap_.front().event;
-  }
-
-  /// Advances now() to `at` without running anything (no-op when `at` is in
-  /// the past). The parallel engine uses this at churn barriers so work
-  /// enqueued into a shard-group queue mid-migration is scheduled from the
-  /// churn time, not from the queue's last locally-processed event.
-  void advance_to(SimTime at) noexcept {
-    if (at > now_) now_ = at;
-  }
-
-  /// Removes every pending event matching `pred(event)` and returns them as
-  /// (time, event) pairs in unspecified order; the heap invariant is rebuilt
-  /// afterwards. Shard churn uses this to move a retiring shard group's
-  /// pending events (its in-flight round, late deliveries) to the successor
-  /// group's queue — the content tie-break key makes the re-scheduled order
-  /// independent of the new queue's sequence numbers.
-  template <typename Pred>
-  std::vector<std::pair<SimTime, Event>> extract_if(Pred pred) {
-    std::vector<std::pair<SimTime, Event>> extracted;
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < heap_.size(); ++i) {
-      if (pred(heap_[i].event)) {
-        extracted.emplace_back(heap_[i].time, heap_[i].event);
-      } else {
-        heap_[kept++] = heap_[i];
-      }
-    }
-    if (!extracted.empty()) {
-      heap_.resize(kept);
-      for (std::size_t i = kept / 2; i-- > 0;) sift_down(i);
-    }
-    return extracted;
-  }
 
   /// Pre-sizes the heap (steady-state runs then never reallocate it).
   void reserve(std::size_t events) { heap_.reserve(events); }

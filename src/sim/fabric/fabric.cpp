@@ -107,10 +107,6 @@ std::uint32_t LinkFabric::add_endpoint() {
   return id;
 }
 
-double LinkFabric::min_delay() const noexcept {
-  return config_.min_delay(flat_->config());
-}
-
 std::uint32_t LinkFabric::region_of(std::uint32_t ep) const noexcept {
   if (config_.regions <= 1) return 0;
   return static_cast<std::uint32_t>(

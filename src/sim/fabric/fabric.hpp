@@ -21,13 +21,11 @@
 //                                                  + ser)
 //
 // Determinism. All mutable state (busy-until, jitter counters, counters in
-// Stats) advances only inside message_delay(), and both engines call
-// message_delay() in exactly the sequential dispatch order — the parallel
-// engine routes every fabric send through its coordinator's merged phase-B
-// replay — so a fabric run is bit-identical at any sim_jobs. Region and
-// straggler membership are pure functions of (sim_seed, endpoint id), never
-// of spawn order. propagation_delay() is stateless and draw-free: the
-// placement pipeline's timing view reads it without perturbing delivery.
+// Stats) advances only inside message_delay(), which the engine calls in
+// event dispatch order, so a fabric run is a pure function of its seeds.
+// Region and straggler membership are pure functions of (sim_seed, endpoint
+// id), never of spawn order. propagation_delay() is stateless and draw-free:
+// the placement pipeline's timing view reads it without perturbing delivery.
 //
 // Flat identity. A disabled fabric delegates wholly to the borrowed flat
 // NetworkModel. An *enabled* degenerate fabric (one region at the flat
@@ -74,10 +72,6 @@ class LinkFabric {
   std::uint32_t num_endpoints() const noexcept {
     return static_cast<std::uint32_t>(endpoints_.size());
   }
-
-  /// The conservative lookahead bound (FabricConfig::min_delay): no
-  /// message_delay() result is ever smaller.
-  double min_delay() const noexcept;
 
   /// Stateful delivery delay of `bytes` from endpoint `from` (at position
   /// `from_pos`) to endpoint `to` (at `to_pos`), sent at time `now`.

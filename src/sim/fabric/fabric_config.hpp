@@ -47,7 +47,7 @@ struct FabricConfig {
 
   /// Number of geo-regions. Every endpoint (the client and each shard
   /// leader) is assigned a region as a pure function of (sim_seed,
-  /// endpoint id) — spawn-order independent, identical in both engines.
+  /// endpoint id) — spawn-order independent.
   std::uint32_t regions = 1;
   /// Base one-way latency of links within one region (seconds).
   double intra_region_latency_s = 0.100;
@@ -60,9 +60,8 @@ struct FabricConfig {
 
   /// Upper bound of the uniform per-message jitter (seconds). Each directed
   /// endpoint pair owns a counter-based RNG stream seeded from (sim_seed,
-  /// pair), advanced once per delivered message in dispatch order — which is
-  /// the coordinator's merged replay order, so jitter draws are identical at
-  /// every sim_jobs value. 0 = no jitter (and no draws).
+  /// pair), advanced once per delivered message in dispatch order, so the
+  /// draws are a pure function of the seeds. 0 = no jitter (and no draws).
   double max_jitter_s = 0.0;
 
   /// Access-link bandwidth and queueing (see LinkConfig).
@@ -80,18 +79,6 @@ struct FabricConfig {
   /// timeout × bandwidth / 8 bytes of backlog, so delivery always
   /// terminates. Must be positive when link.queue_bytes > 0.
   double retransmit_timeout_s = 1.0;
-
-  /// The fabric's minimum possible delivery delay — the conservative
-  /// parallel engine's lookahead window. Every delivery pays at least the
-  /// smallest region-tier base latency (jitter, queueing, serialization and
-  /// straggler extras are all non-negative); a disabled fabric falls back to
-  /// the flat model's base latency.
-  double min_delay(const NetworkConfig& flat) const noexcept {
-    if (!enabled) return flat.base_latency_s;
-    return regions >= 2 && inter_region_latency_s < intra_region_latency_s
-               ? inter_region_latency_s
-               : intra_region_latency_s;
-  }
 
   /// Rejects non-physical configurations with std::invalid_argument:
   /// non-positive (or NaN) link bandwidth, zero regions, negative latency /

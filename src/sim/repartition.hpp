@@ -17,9 +17,10 @@
 // budget pays for; a re-partition that agrees with the current assignment
 // costs nothing.
 //
-// Both engines fire the controller at a barrier (like scripted churn), so
-// repartition runs stay bit-identical at any sim_jobs — determinism rule 8
-// in docs/ARCHITECTURE.md, pinned by tests/repartition_test.cpp.
+// The engine fires the controller as its own queued event (like scripted
+// churn), so a repartition run is a pure function of its seeds —
+// determinism rule 8 in docs/ARCHITECTURE.md, pinned by
+// tests/repartition_test.cpp and tests/sim_fingerprint_test.cpp.
 #pragma once
 
 #include <cstdint>

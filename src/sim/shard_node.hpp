@@ -112,13 +112,6 @@ class ShardNode {
 
   const ConsensusModel& consensus() const noexcept { return model_; }
 
-  /// Re-points the node at a different event queue. The parallel engine
-  /// migrates a retiring shard's node to its successor's shard-group queue
-  /// so the node's still-in-flight round completes on the worker that owns
-  /// the successor's ledger partition. Only safe between rounds of event
-  /// processing (the parallel engine calls it at churn barriers).
-  void rebind_queue(EventQueue& events) noexcept { events_ = &events; }
-
  private:
   void try_start_round();
 

@@ -3,18 +3,15 @@
 // Creating a shard samples randomness twice: the leader's position and the
 // committee geography behind its ConsensusModel. Historically both draws
 // came from the simulation's one shared Rng, which made every shard's
-// timing depend on the *global draw order* — fine for a single sequential
-// engine, fatal for a parallel one (and a latent trap for any future change
-// that reorders spawns). Each shard now owns a derived stream: seed =
+// timing depend on the *global draw order* — a latent trap for any change
+// that reorders spawns. Each shard now owns a derived stream: seed =
 // mix64(sim_seed ⊕ mix64(salt + shard_id)), so shard s's geography is a
-// pure function of (sim_seed, s) no matter which engine, worker or churn
-// schedule creates it. Both the sequential engine (sim/simulation.cpp) and
-// the parallel engine (sim/parallel/) spawn through this helper — that
-// shared path is the first half of the cross-engine bit-identity contract
-// (the second half is the event-key merge order; see sim/event_queue.hpp).
+// pure function of (sim_seed, s) no matter which churn schedule creates it.
+// The streams stay because the goldens and the fingerprints in
+// tests/sim_fingerprint_test.cpp pin the draws they produce.
 //
 // The client's own position stays on the undivided Rng(sim_seed) stream:
-// there is exactly one client, drawn before any shard, in both engines.
+// there is exactly one client, drawn before any shard.
 #pragma once
 
 #include <cstdint>
@@ -49,7 +46,7 @@ struct SpawnedShard {
 /// `bandwidth_override_bps` makes block dissemination pay that access-link
 /// rate instead of the network model's bandwidth (the fabric hook — see
 /// ConsensusModel); 0 keeps the historical term. The override is pure
-/// config, so both engines pass the same value and stay bit-identical.
+/// config, so it adds no draw.
 inline SpawnedShard spawn_shard(const ConsensusConfig& consensus,
                                 const NetworkModel& network,
                                 std::uint64_t sim_seed, std::uint32_t shard,

@@ -33,9 +33,8 @@ Simulation::Simulation(SimConfig config)
 void Simulation::spawn_shard_node() {
   const auto s = static_cast<std::uint32_t>(shards_.size());
   // Per-shard spawn stream (sim/shard_spawn.hpp): shard s's geography is a
-  // pure function of (sim_seed, s), shared with the parallel engine. An
-  // enabled fabric routes consensus block dissemination over the shard's
-  // access link (pure config — identical in both engines).
+  // pure function of (sim_seed, s). An enabled fabric routes consensus block
+  // dissemination over the shard's access link (pure config, no draw).
   SpawnedShard spawned = spawn_shard(
       config_.consensus, network_, config_.seed, s,
       config_.fabric.enabled ? config_.fabric.link.bandwidth_bps : 0.0);
@@ -226,8 +225,7 @@ SimResult Simulation::run(workload::TxSource& source,
 void Simulation::on_event(const Event& event) {
   // Shard-addressed events feed the per-shard diagnostics; client-side
   // events (issues, samples, churn) have no shard. Counted by the shard the
-  // message was *addressed* to (pre-churn-resolution), matching the
-  // parallel engine's count at record-merge time.
+  // message was *addressed* to (pre-churn-resolution).
   if (event.type != EventType::kTxIssue &&
       event.type != EventType::kQueueSample &&
       event.type != EventType::kShardChange &&
@@ -344,10 +342,14 @@ void Simulation::issue_transaction(std::uint32_t index) {
         static_cast<std::uint32_t>(staged_.outputs.size()));
   }
 
-  // The protocol only needs the inputs from here on. Swapping hands staged_
-  // the record's cleared vector, whose capacity the prefetch below reuses,
-  // so steady-state issues allocate nothing.
+  // The protocol only needs the inputs from here on, each with the shard it
+  // is checked at. Swapping hands staged_ the record's cleared vector, whose
+  // capacity the prefetch below reuses, and the shard list reuses the
+  // recycled record's capacity, so steady-state issues allocate nothing.
   flight.inputs.swap(staged_.inputs);
+  for (const tx::OutPoint& point : flight.inputs) {
+    flight.input_shards.push_back(assignment_->shard_of(point.tx));
+  }
   ++outstanding_;
   ++issued_;
   notify_issue(index, flight.issue_time, placed.cross);
@@ -365,26 +367,27 @@ void Simulation::issue_transaction(std::uint32_t index) {
 
 bool Simulation::try_lock_inputs(std::uint32_t index, std::uint32_t shard) {
   const Inflight& flight = inflight_.at(index);
-  for (const tx::OutPoint& point : flight.inputs) {
-    if (assignment_->shard_of(point.tx) != shard) continue;
+  for (std::size_t i = 0; i < flight.inputs.size(); ++i) {
+    if (resolve_shard(flight.input_shards[i]) != shard) continue;
     const OutpointLedger::Entry* entry =
-        outpoint_state_.find(outpoint_key(point));
+        outpoint_state_.find(outpoint_key(flight.inputs[i]));
     if (entry != nullptr && entry->tx != index) {
       return false;  // held or spent by a conflicting transaction
     }
   }
-  for (const tx::OutPoint& point : flight.inputs) {
-    if (assignment_->shard_of(point.tx) != shard) continue;
-    outpoint_state_[outpoint_key(point)] = {OutpointState::kLocked, index};
+  for (std::size_t i = 0; i < flight.inputs.size(); ++i) {
+    if (resolve_shard(flight.input_shards[i]) != shard) continue;
+    outpoint_state_[outpoint_key(flight.inputs[i])] = {OutpointState::kLocked,
+                                                       index};
   }
   return true;
 }
 
 void Simulation::release_locks(std::uint32_t index, std::uint32_t shard) {
   const Inflight& flight = inflight_.at(index);
-  for (const tx::OutPoint& point : flight.inputs) {
-    if (assignment_->shard_of(point.tx) != shard) continue;
-    const std::uint64_t key = outpoint_key(point);
+  for (std::size_t i = 0; i < flight.inputs.size(); ++i) {
+    if (resolve_shard(flight.input_shards[i]) != shard) continue;
+    const std::uint64_t key = outpoint_key(flight.inputs[i]);
     const OutpointLedger::Entry* entry = outpoint_state_.find(key);
     if (entry != nullptr && entry->state == OutpointState::kLocked &&
         entry->tx == index) {
@@ -397,14 +400,9 @@ void Simulation::spend_inputs(std::uint32_t index) {
   const Inflight& flight = inflight_.at(index);
   for (const tx::OutPoint& point : flight.inputs) {
     OutpointLedger::Entry& entry = outpoint_state_[outpoint_key(point)];
-    // Without churn or repartition the lock protocol makes a conflicting
-    // double-commit impossible; a retirement or re-partition move
-    // mid-handoff can drop a lock, so those runs tolerate (and ignore) a
-    // late conflicting spend instead of asserting.
-    if (entry.state == OutpointState::kSpent && entry.tx != index) {
-      OPTCHAIN_ASSERT(churn_enabled() || repartition_enabled());
-      continue;
-    }
+    // Every input was locked (or, same-shard, checked) at the shard it was
+    // sent to, so no other transaction can have spent it.
+    OPTCHAIN_ASSERT(entry.state != OutpointState::kSpent || entry.tx == index);
     entry = {OutpointState::kSpent, index};
     // Synthetic hotspot outpoints (vout >= kInjectedVoutBase) were never
     // credited as outputs, so only genuine spends consume a record.

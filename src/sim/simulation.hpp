@@ -130,12 +130,8 @@ struct SimResult {
 
   /// Memory-shape diagnostics. `shard_event_counts[s]` counts the
   /// shard-addressed events (deliveries, proofs, round completions,
-  /// unlocks) dispatched for shard s — identical across engines by
-  /// construction. `event_heap_peak` is the deepest any event heap got
-  /// during the run; it is engine-*specific* (the parallel engine's
-  /// per-shard-group heaps are individually shallower than the sequential
-  /// engine's one global heap) and deliberately outside the bit-identity
-  /// contract.
+  /// unlocks) dispatched for shard s. `event_heap_peak` is the deepest the
+  /// event heap got during the run.
   std::uint64_t event_heap_peak = 0;
   std::vector<std::uint64_t> shard_event_counts;
 
@@ -156,10 +152,10 @@ struct SimResult {
   std::uint64_t repartition_deferred_txs = 0;
 
   /// Link-fabric accounting (all zero when SimConfig::fabric is disabled;
-  /// copied from LinkFabric::stats() at run end, inside the cross-engine
-  /// bit-identity contract): delivered protocol messages and payload bytes,
-  /// tail drops (each retransmitted), total time messages spent queued on
-  /// busy uplinks, and the deepest uplink backlog ever observed.
+  /// copied from LinkFabric::stats() at run end): delivered protocol
+  /// messages and payload bytes, tail drops (each retransmitted), total time
+  /// messages spent queued on busy uplinks, and the deepest uplink backlog
+  /// ever observed.
   std::uint64_t link_messages = 0;
   std::uint64_t link_bytes = 0;
   std::uint64_t link_drops = 0;
@@ -226,14 +222,15 @@ class Simulation final : private EventHandler {
   static std::uint64_t outpoint_key(const tx::OutPoint& point) noexcept {
     return (static_cast<std::uint64_t>(point.tx) << 32) | point.vout;
   }
-  /// Fabric endpoint ids: the client is endpoint 0, shard s is 1 + s (the
-  /// same convention in both engines — endpoints register in spawn order).
+  /// Fabric endpoint ids: the client is endpoint 0, shard s is 1 + s
+  /// (endpoints register in spawn order).
   static constexpr std::uint32_t kClientEndpoint = 0;
   static std::uint32_t endpoint_of(std::uint32_t shard) noexcept {
     return shard + 1;
   }
-  /// Attempts to lock `index`'s inputs owned by `shard`; returns false (and
-  /// locks nothing) if any is held or spent by another transaction.
+  /// Attempts to lock `index`'s inputs checked at `shard` (those whose
+  /// recorded issue-time shard resolves to it); returns false (and locks
+  /// nothing) if any is held or spent by another transaction.
   bool try_lock_inputs(std::uint32_t index, std::uint32_t shard);
   void release_locks(std::uint32_t index, std::uint32_t shard);
   void spend_inputs(std::uint32_t index);

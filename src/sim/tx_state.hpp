@@ -49,6 +49,11 @@ struct PendingCross {
 struct Inflight {
   double issue_time = 0.0;
   std::vector<tx::OutPoint> inputs;
+  /// Parallel to `inputs`: the shard each input's parent was on at issue,
+  /// where its lock request (or same-shard delivery) went. That shard, or
+  /// its successor after a retirement, checks the input; a later
+  /// re-partition move does not change it.
+  std::vector<std::uint32_t> input_shards;
   PendingCross cross;
   /// Unlock-to-abort messages still traveling after an abort; the entry
   /// stays alive until they have all released their locks.
@@ -60,6 +65,7 @@ struct Inflight {
   void reset() noexcept {
     issue_time = 0.0;
     inputs.clear();
+    input_shards.clear();
     cross.remaining_locks = 0;
     cross.output_shard = 0;
     cross.rejected = false;

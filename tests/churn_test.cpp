@@ -181,64 +181,40 @@ TEST(ChurnSimulationTest, ChurnRunsAreDeterministic) {
 TEST(ChurnFabricTest, RetiredShardHandoffSurvivesCongestedLossyLinks) {
   // A shard retires while deliveries ride the congested fabric preset —
   // constrained access links, queueing, and tail drops. Messages in flight
-  // to the retiring shard at the churn barrier must land on the successor
-  // (the engines remap shard-addressed events at the barrier), so the run
-  // still drains, the retired shard ends empty, and the whole interaction
-  // stays bit-identical between the engines.
+  // to the retiring shard at the churn barrier must land on the successor,
+  // so the run still drains and the retired shard ends empty.
   const auto txs = churn_stream();
-  for (const std::uint32_t jobs : {0u, 4u}) {
-    ChurnRecorder recorder;
-    api::RunSpec spec = churn_run_spec("OptChain");
-    spec.fabric = sim::fabric_preset("congested");
-    // The preset's 5 Mbps links absorb this small stream; starve them
-    // further so tail drops actually fire at the test's 500 tps.
-    spec.fabric.link.bandwidth_bps = 1e6;
-    spec.fabric.link.queue_bytes = 16 * 1024;
-    spec.sim_jobs = jobs;
-    spec.observers = {&recorder};
-    const api::RunReport report = api::simulate(spec, txs);
-    ASSERT_TRUE(report.sim.has_value());
-    const sim::SimResult& result = *report.sim;
-    EXPECT_TRUE(result.completed) << "jobs=" << jobs;
-    EXPECT_EQ(result.committed_txs + result.aborted_txs, txs.size())
-        << "jobs=" << jobs;
-
-    // The lossy, bandwidth-limited path was actually exercised.
-    EXPECT_GT(result.link_messages, 0u) << "jobs=" << jobs;
-    EXPECT_GT(result.link_drops, 0u) << "jobs=" << jobs;
-
-    // The bulk handoff happened and the retired shard saw no deliveries
-    // afterwards: its records moved wholesale and its size stays zero.
-    std::uint32_t retired = 0;
-    bool saw_removal = false;
-    for (const auto& entry : recorder.entries) {
-      if (entry.kind == 'C' && !entry.joined) {
-        retired = entry.shard;
-        saw_removal = true;
-        EXPECT_GT(entry.migrated_txs, 0u);
-      }
-    }
-    ASSERT_TRUE(saw_removal);
-    EXPECT_EQ(result.final_shard_sizes[retired], 0u) << "jobs=" << jobs;
-  }
-
-  // Cross-engine bit-identity of the full interaction, drops included.
+  ChurnRecorder recorder;
   api::RunSpec spec = churn_run_spec("OptChain");
   spec.fabric = sim::fabric_preset("congested");
+  // The preset's 5 Mbps links absorb this small stream; starve them
+  // further so tail drops actually fire at the test's 500 tps.
   spec.fabric.link.bandwidth_bps = 1e6;
   spec.fabric.link.queue_bytes = 16 * 1024;
-  spec.sim_jobs = 0;
-  const api::RunReport sequential = api::simulate(spec, txs);
-  spec.sim_jobs = 4;
-  const api::RunReport parallel = api::simulate(spec, txs);
-  EXPECT_EQ(sequential.sim->committed_txs, parallel.sim->committed_txs);
-  EXPECT_EQ(sequential.sim->total_events, parallel.sim->total_events);
-  EXPECT_EQ(sequential.sim->link_messages, parallel.sim->link_messages);
-  EXPECT_EQ(sequential.sim->link_drops, parallel.sim->link_drops);
-  EXPECT_EQ(sequential.sim->migrated_txs, parallel.sim->migrated_txs);
-  EXPECT_DOUBLE_EQ(sequential.sim->avg_latency_s,
-                   parallel.sim->avg_latency_s);
-  EXPECT_EQ(sequential.shard_sizes, parallel.shard_sizes);
+  spec.observers = {&recorder};
+  const api::RunReport report = api::simulate(spec, txs);
+  ASSERT_TRUE(report.sim.has_value());
+  const sim::SimResult& result = *report.sim;
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.committed_txs + result.aborted_txs, txs.size());
+
+  // The lossy, bandwidth-limited path was actually exercised.
+  EXPECT_GT(result.link_messages, 0u);
+  EXPECT_GT(result.link_drops, 0u);
+
+  // The bulk handoff happened and the retired shard saw no deliveries
+  // afterwards: its records moved wholesale and its size stays zero.
+  std::uint32_t retired = 0;
+  bool saw_removal = false;
+  for (const auto& entry : recorder.entries) {
+    if (entry.kind == 'C' && !entry.joined) {
+      retired = entry.shard;
+      saw_removal = true;
+      EXPECT_GT(entry.migrated_txs, 0u);
+    }
+  }
+  ASSERT_TRUE(saw_removal);
+  EXPECT_EQ(result.final_shard_sizes[retired], 0u);
 }
 
 // ----------------------------------------------- sweep-level determinism

@@ -1,9 +1,9 @@
 // Link-fabric suite (sim/fabric/): config validation, the flat-identity
 // contract (an enabled-but-degenerate fabric is bit-identical to the
 // classic NetworkModel path), queue buildup / tail-drop accounting, jitter
-// determinism, region-tier latency math, the tree-gossip fabric overload,
-// and — the load-bearing one — bit-identity of congested-topology runs
-// across the sequential engine and any parallel sim_jobs value.
+// determinism, region-tier latency math and the tree-gossip fabric
+// overload. Whole congested and wan runs are pinned in
+// tests/sim_fingerprint_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,7 +14,6 @@
 #include "api/placement_pipeline.hpp"
 #include "api/run_spec.hpp"
 #include "sim/fabric/fabric.hpp"
-#include "sim/parallel/parallel_simulation.hpp"
 #include "sim/simulation.hpp"
 #include "sim/tree_gossip.hpp"
 #include "stats/metrics.hpp"
@@ -29,7 +28,6 @@ using sim::NetworkConfig;
 using sim::NetworkModel;
 using sim::Position;
 using sim::ProtocolMode;
-using sim::parallel::ParallelSimulation;
 
 constexpr std::uint64_t kStreamSeed = 20260808;
 constexpr std::size_t kStreamLength = 2500;
@@ -60,17 +58,7 @@ sim::SimResult run_sequential(const sim::SimConfig& config,
   return simulation.run(txs, pipeline);
 }
 
-sim::SimResult run_parallel(const sim::SimConfig& config, std::uint32_t jobs,
-                            const std::vector<tx::Transaction>& txs) {
-  api::PlacementPipeline pipeline =
-      api::make_pipeline("OptChain", config.num_shards, txs);
-  ParallelSimulation simulation(config, jobs);
-  return simulation.run(txs, pipeline);
-}
-
-/// The full bit-identity contract between two SimResults, link-fabric
-/// accounting included. event_heap_peak is excluded as ever (per-group
-/// heaps are shallower than one global heap by design).
+/// Bit-identity of two SimResults, link-fabric accounting included.
 void expect_bit_identical(const sim::SimResult& a, const sim::SimResult& b) {
   EXPECT_EQ(b.placer_name, a.placer_name);
   EXPECT_EQ(b.total_txs, a.total_txs);
@@ -291,33 +279,6 @@ TEST(FabricJitter, WanRunsAreReproducible) {
   const sim::SimResult second = run_sequential(config, txs);
   expect_bit_identical(first, second);
   EXPECT_GT(first.link_messages, 0u);
-}
-
-// ---------------------------------------------- parallel-engine identity
-
-TEST(FabricParallel, CongestedTopologyBitIdenticalAtAnySimJobs) {
-  const auto txs = stream();
-  for (const ProtocolMode protocol :
-       {ProtocolMode::kOmniLedger, ProtocolMode::kRapidChain}) {
-    sim::SimConfig config = base_config(protocol);
-    config.fabric = sim::fabric_preset("congested");
-    const sim::SimResult sequential = run_sequential(config, txs);
-    EXPECT_GT(sequential.link_drops, 0u);  // the topology actually bites
-    for (const std::uint32_t jobs : {1u, 4u}) {
-      const sim::SimResult parallel = run_parallel(config, jobs, txs);
-      expect_bit_identical(sequential, parallel);
-    }
-  }
-}
-
-TEST(FabricParallel, WanTopologyBitIdenticalAtAnySimJobs) {
-  const auto txs = stream();
-  sim::SimConfig config = base_config(ProtocolMode::kOmniLedger);
-  config.fabric = sim::fabric_preset("wan");
-  const sim::SimResult sequential = run_sequential(config, txs);
-  for (const std::uint32_t jobs : {1u, 4u}) {
-    expect_bit_identical(sequential, run_parallel(config, jobs, txs));
-  }
 }
 
 // -------------------------------------------------- region-tier latency

@@ -3,7 +3,8 @@
 // export golden, span nesting over a real simulated run, MetricsRegistry
 // snapshot math (counters/gauges/histograms, JSON + Prometheus exposition),
 // histogram merge/p999 equivalence with the sorted-vector path, and the
-// PhaseProfiler enable/disable contract.
+// PhaseProfiler enable/disable contract and its rows on a profiled batched
+// placement run (which starts a scoring thread).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -431,57 +432,63 @@ TEST(PhaseProfilerTest, ScopedPhasesAccumulateOnlyWhenEnabled) {
   obs::PhaseProfiler& profiler = obs::PhaseProfiler::instance();
   profiler.reset();
   profiler.set_enabled(false);
-  { obs::ScopedPhase timer(obs::Phase::kSimPhaseA); }
+  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
   EXPECT_TRUE(profiler.snapshot().empty());
 
   profiler.set_enabled(true);
-  { obs::ScopedPhase timer(obs::Phase::kSimPhaseA); }
-  { obs::ScopedPhase timer(obs::Phase::kSimPhaseA); }
-  { obs::ScopedPhase timer(obs::Phase::kBatchCommit); }
+  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
+  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
+  { obs::ScopedPhase timer(obs::Phase::kSweepCell); }
   profiler.set_enabled(false);
 
   const std::vector<obs::PhaseEntry> snapshot = profiler.snapshot();
   ASSERT_EQ(snapshot.size(), 2u);  // enum order, empty slots skipped
-  EXPECT_EQ(snapshot[0].phase, "sim.parallel.phase_a");
+  EXPECT_EQ(snapshot[0].phase, "place.batch.prepare");
   EXPECT_EQ(snapshot[0].calls, 2u);
   EXPECT_GE(snapshot[0].seconds, 0.0);
-  EXPECT_EQ(snapshot[1].phase, "place.batch.commit");
+  EXPECT_EQ(snapshot[1].phase, "sweep.cell");
   EXPECT_EQ(snapshot[1].calls, 1u);
 
   profiler.reset();
   EXPECT_TRUE(profiler.snapshot().empty());
 }
 
-TEST(PhaseProfilerTest, ProfiledRunReportsParallelPhases) {
+TEST(PhaseProfilerTest, ProfiledPlacementReportsBatchPhases) {
   workload::BitcoinLikeGenerator generator({}, 5);
-  const std::vector<tx::Transaction> txs = generator.generate(600);
+  const std::vector<tx::Transaction> txs = generator.generate(2000);
   api::RunSpec spec;
   spec.method = "OptChain";
   spec.num_shards = 4;
-  spec.rate_tps = 600.0;
-  spec.commit_window_s = 5.0;
-  spec.sim_jobs = 2;
+  spec.place_jobs = 2;  // one helper thread shares the score phase
+  spec.place_batch = 64;
   spec.profile = true;
-  const api::RunReport report = api::simulate(spec, txs);
-  ASSERT_TRUE(report.sim.has_value());
-  // The parallel engine ran, so both phases must show up in the profile.
-  bool saw_phase_a = false, saw_phase_b = false;
+  const api::RunReport report = api::place(spec, txs);
+  // The batched front-end ran, so its three stages show up in the profile,
+  // in enum order.
+  std::vector<std::string> phases;
   for (const api::ProfileEntry& entry : report.profile) {
-    if (entry.phase == "sim.parallel.phase_a") saw_phase_a = true;
-    if (entry.phase == "sim.parallel.phase_b") saw_phase_b = true;
+    phases.push_back(entry.phase);
     EXPECT_GT(entry.calls, 0u);
+    EXPECT_GE(entry.seconds, 0.0);
   }
-  EXPECT_TRUE(saw_phase_a);
-  EXPECT_TRUE(saw_phase_b);
-  // A profiled run is bit-identical to an unprofiled one.
+  EXPECT_EQ(phases,
+            (std::vector<std::string>{"place.batch.prepare",
+                                      "place.batch.score",
+                                      "place.batch.commit"}));
+  // A profiled run is bit-identical to a plain one.
   api::RunSpec plain = spec;
   plain.profile = false;
-  const api::RunReport baseline = api::simulate(plain, txs);
-  EXPECT_EQ(report.sim->total_events, baseline.sim->total_events);
-  EXPECT_DOUBLE_EQ(report.sim->avg_latency_s, baseline.sim->avg_latency_s);
+  const api::RunReport baseline = api::place(plain, txs);
+  EXPECT_TRUE(baseline.profile.empty());
+  EXPECT_EQ(report.total, baseline.total);
+  EXPECT_EQ(report.cross, baseline.cross);
+  EXPECT_EQ(report.shard_sizes, baseline.shard_sizes);
   // And the profile rows render at the end of the report table.
-  EXPECT_NE(report.to_csv().find("profile sim.parallel.phase_b (s)"),
-            std::string::npos);
+  const std::string csv = report.to_csv();
+  for (const std::string& phase : phases) {
+    EXPECT_NE(csv.find("profile " + phase + " (s)"), std::string::npos);
+    EXPECT_NE(csv.find("profile " + phase + " calls"), std::string::npos);
+  }
 }
 
 }  // namespace

@@ -2,16 +2,18 @@
 // controller cadence and budget semantics, deferred-migration accounting
 // (budget-starved plans drain across consecutive events before any
 // recompute), the Fennel streaming baseline's balance/quality bounds,
-// repartition × churn interleaving, sequential-vs-parallel bit-identity at
-// any sim_jobs, sweep-level determinism, and the ScenarioSpec rejections
+// repartition × churn interleaving, double spends racing re-partition
+// moves, sweep-level determinism, and the ScenarioSpec rejections
 // (placement mode; warm_ratio — the Metis warm prefix assumes a static
-// assignment).
+// assignment). Whole repartition runs are pinned in
+// tests/sim_fingerprint_test.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
@@ -19,10 +21,12 @@
 #include "api/run_spec.hpp"
 #include "api/scenario_spec.hpp"
 #include "api/sweep_runner.hpp"
+#include "sim/fabric/fabric.hpp"
 #include "sim/repartition.hpp"
 #include "sim/shard_churn.hpp"
 #include "sim/sim_observer.hpp"
 #include "workload/bitcoin_like_generator.hpp"
+#include "workload/conflict_injector.hpp"
 
 namespace optchain {
 namespace {
@@ -137,8 +141,6 @@ struct RepartitionRecorder final : sim::SimObserver {
     std::uint64_t migrated_txs;
     std::uint64_t migrated_utxos;
     std::uint64_t deferred_txs;
-
-    friend bool operator==(const Entry&, const Entry&) = default;
   };
 
   void on_repartition(double time, std::uint64_t migrated_txs,
@@ -222,56 +224,6 @@ TEST(RepartitionSimulationTest, UnlimitedBudgetNeverDefers) {
   EXPECT_EQ(report.sim->repartition_deferred_txs, 0u);
 }
 
-// ---------------------------------------------- engine bit-identity pin
-
-/// The acceptance pin: a re-partition run is bit-identical between the
-/// sequential engine (sim_jobs = 0) and the parallel engine at 1 and 4
-/// workers — repartition ticks are barrier events like churn.
-TEST(RepartitionSimulationTest, BitIdenticalAtAnySimJobs) {
-  const auto txs = stream(2500, 23);
-  for (const char* method : {"OptChain", "Greedy", "Fennel"}) {
-    api::RunSpec spec = repartition_run_spec(method);
-    spec.repartition.window = 1200;  // exercise the windowed snapshot too
-    std::vector<RepartitionRecorder> recorders(3);
-    std::vector<api::RunReport> reports;
-    const std::uint32_t jobs[] = {0, 1, 4};
-    for (std::size_t i = 0; i < 3; ++i) {
-      spec.sim_jobs = jobs[i];
-      spec.observers = {&recorders[i]};
-      reports.push_back(api::simulate(spec, txs));
-      ASSERT_TRUE(reports.back().sim.has_value()) << method;
-    }
-    const sim::SimResult& sequential = *reports[0].sim;
-    EXPECT_GT(sequential.repartition_events, 0u) << method;
-    EXPECT_GT(sequential.repartition_migrated_txs, 0u) << method;
-    for (std::size_t i = 1; i < 3; ++i) {
-      const sim::SimResult& parallel = *reports[i].sim;
-      EXPECT_EQ(parallel.committed_txs, sequential.committed_txs) << method;
-      EXPECT_EQ(parallel.cross_txs, sequential.cross_txs) << method;
-      EXPECT_EQ(parallel.total_events, sequential.total_events) << method;
-      EXPECT_DOUBLE_EQ(parallel.avg_latency_s, sequential.avg_latency_s)
-          << method;
-      EXPECT_DOUBLE_EQ(parallel.max_latency_s, sequential.max_latency_s)
-          << method;
-      EXPECT_EQ(parallel.repartition_events, sequential.repartition_events)
-          << method;
-      EXPECT_EQ(parallel.repartition_migrated_txs,
-                sequential.repartition_migrated_txs)
-          << method;
-      EXPECT_EQ(parallel.repartition_migrated_utxos,
-                sequential.repartition_migrated_utxos)
-          << method;
-      EXPECT_EQ(parallel.repartition_deferred_txs,
-                sequential.repartition_deferred_txs)
-          << method;
-      EXPECT_EQ(parallel.final_shard_sizes, sequential.final_shard_sizes)
-          << method;
-      // Observer stream parity: same callbacks, same order, same args.
-      EXPECT_EQ(recorders[i].entries, recorders[0].entries) << method;
-    }
-  }
-}
-
 // -------------------------------------------------- repartition × churn
 
 TEST(RepartitionChurnTest, InterleavesWithChurnAndAvoidsRetiredShards) {
@@ -290,37 +242,80 @@ TEST(RepartitionChurnTest, InterleavesWithChurnAndAvoidsRetiredShards) {
     std::vector<std::uint32_t> retired;
   };
 
-  for (const std::uint32_t jobs : {0u, 4u}) {
-    ChangeRecorder changes;
-    spec.sim_jobs = jobs;
-    spec.observers = {&changes};
-    const api::RunReport report = api::simulate(spec, txs);
-    ASSERT_TRUE(report.sim.has_value());
-    const sim::SimResult& result = *report.sim;
-    EXPECT_TRUE(result.completed);
-    EXPECT_EQ(result.shard_changes, 2u);
-    EXPECT_GT(result.repartition_events, 0u);
-    EXPECT_GT(result.repartition_migrated_txs, 0u);
-    // The controller never moves a record onto a retired shard: its final
-    // size stays exactly zero after the bulk handoff.
-    ASSERT_EQ(changes.retired.size(), 1u);
-    EXPECT_EQ(result.final_shard_sizes[changes.retired[0]], 0u);
-  }
+  ChangeRecorder changes;
+  spec.observers = {&changes};
+  const api::RunReport report = api::simulate(spec, txs);
+  ASSERT_TRUE(report.sim.has_value());
+  const sim::SimResult& result = *report.sim;
+  EXPECT_TRUE(result.completed);
+  EXPECT_EQ(result.shard_changes, 2u);
+  EXPECT_GT(result.repartition_events, 0u);
+  EXPECT_GT(result.repartition_migrated_txs, 0u);
+  // The controller never moves a record onto a retired shard: its final
+  // size stays exactly zero after the bulk handoff.
+  ASSERT_EQ(changes.retired.size(), 1u);
+  EXPECT_EQ(result.final_shard_sizes[changes.retired[0]], 0u);
+}
 
-  // Cross-engine: the interleaved run is itself bit-identical.
-  spec.sim_jobs = 0;
-  spec.observers = {};
-  const api::RunReport sequential = api::simulate(spec, txs);
-  spec.sim_jobs = 4;
-  const api::RunReport parallel = api::simulate(spec, txs);
-  EXPECT_EQ(sequential.sim->committed_txs, parallel.sim->committed_txs);
-  EXPECT_EQ(sequential.sim->total_events, parallel.sim->total_events);
-  EXPECT_DOUBLE_EQ(sequential.sim->avg_latency_s,
-                   parallel.sim->avg_latency_s);
-  EXPECT_EQ(sequential.sim->repartition_migrated_txs,
-            parallel.sim->repartition_migrated_txs);
-  EXPECT_EQ(sequential.sim->migrated_txs, parallel.sim->migrated_txs);
-  EXPECT_EQ(sequential.shard_sizes, parallel.shard_sizes);
+// --------------------------------------------- repartition × double spends
+
+/// Records every committed transaction.
+struct CommitRecorder final : sim::SimObserver {
+  void on_commit(std::uint32_t tx, double /*time*/,
+                 double /*latency_s*/) override {
+    committed.push_back(tx);
+  }
+  std::vector<std::uint32_t> committed;
+};
+
+/// A re-partition move between a transaction's issue and its lock request
+/// (or its same-shard delivery) must not leave an input that no shard
+/// checks. Each input is checked at the shard its parent was on when the
+/// transaction was issued, so no outpoint is spent by two committed
+/// transactions and every injected conflict aborts at least one contender.
+TEST(RepartitionConflictTest, NoOutpointIsSpentByTwoCommittedTransactions) {
+  for (const bool churn : {false, true}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE(std::string(churn ? "churn + repartition" : "repartition") +
+                   ", seed " + std::to_string(seed));
+      const workload::ConflictStream injected = workload::inject_double_spends(
+          stream(3000, seed), 0.03, seed, /*window=*/8);
+      ASSERT_GT(injected.num_conflicts, 0u);
+      api::RunSpec spec;
+      spec.method = "OptChain";
+      spec.num_shards = 6;
+      spec.rate_tps = 500.0;
+      spec.fabric = sim::fabric_preset("wan");
+      spec.repartition.interval_s = 1.0;
+      spec.repartition.budget = 200;
+      if (churn) {
+        spec.churn.events = {
+            {2.0, sim::ChurnKind::kRemoveShard,
+             sim::ShardChurnEvent::kAutoShard},
+            {4.0, sim::ChurnKind::kAddShard, 0},
+        };
+      }
+      CommitRecorder commits;
+      spec.observers = {&commits};
+      const api::RunReport report =
+          api::simulate(spec, injected.transactions);
+      ASSERT_TRUE(report.sim.has_value());
+      EXPECT_TRUE(report.sim->completed);
+      EXPECT_GT(report.sim->repartition_migrated_txs, 0u);
+
+      std::unordered_map<std::uint64_t, std::uint32_t> spender;
+      std::uint64_t double_spent = 0;
+      for (const std::uint32_t tx : commits.committed) {
+        for (const tx::OutPoint& point : injected.transactions[tx].inputs) {
+          const std::uint64_t key =
+              (static_cast<std::uint64_t>(point.tx) << 32) | point.vout;
+          if (!spender.emplace(key, tx).second) ++double_spent;
+        }
+      }
+      EXPECT_EQ(double_spent, 0u);
+      EXPECT_GE(report.sim->aborted_txs, injected.num_conflicts);
+    }
+  }
 }
 
 // ------------------------------------------------------ Fennel baseline

@@ -21,6 +21,7 @@
 #include "sim/simulation.hpp"
 #include "sim/tx_state.hpp"
 #include "workload/bitcoin_like_generator.hpp"
+#include "workload/conflict_injector.hpp"
 
 namespace optchain::sim {
 namespace {
@@ -57,9 +58,8 @@ TEST(EventQueueTest, RunsInTimeOrder) {
 
 TEST(EventQueueTest, TieBreaksByContentKey) {
   // Simultaneous events order by content (rank, shard, tx, ...), not by
-  // schedule order: the cross-engine determinism contract. Schedule in a
-  // deliberately scrambled order and expect churn < sample < issues-by-tx <
-  // shard-addressed-by-shard.
+  // schedule order. Schedule in a deliberately scrambled order and expect
+  // churn < sample < issues-by-tx < shard-addressed-by-shard.
   EventQueue queue;
   RecordingHandler handler(queue);
   queue.schedule(1.0, Event::tx_issue(3));
@@ -710,6 +710,36 @@ TEST(SimulationTest, HorizonAbortReportsIncomplete) {
   const SimResult result = sim.run(txs, pipeline);
   EXPECT_FALSE(result.completed);
   EXPECT_LT(result.committed_txs, txs.size());
+}
+
+// Injected double spends drive the abort path, and a shard slowed 25x keeps
+// the transactions it touches in flight while thousands of later ones
+// settle, so the in-flight window grows around live records. OmniLedger
+// placement does not route around the slow shard. Each conflict re-spends
+// the inputs of one of the last 8 arrivals, and 20 ms of per-link jitter
+// lets the two contenders reach their input shards in different orders:
+// both then abort, and the locks each won are released by unlock-to-abort.
+TEST(SimulationTest, DoubleSpendsBehindASlowShardReleaseTheirLocks) {
+  const workload::ConflictStream injected = workload::inject_double_spends(
+      small_stream(20000, 20260729), 0.02, 20260730, /*window=*/8);
+  ASSERT_GT(injected.num_conflicts, 0u);
+  for (const ProtocolMode protocol :
+       {ProtocolMode::kOmniLedger, ProtocolMode::kRapidChain}) {
+    SCOPED_TRACE(protocol == ProtocolMode::kOmniLedger ? "omni" : "rapid");
+    SimConfig config = small_config(8, 1000.0);
+    config.protocol = protocol;
+    config.shard_slowdown = {1.0, 1.0, 1.0, 25.0};
+    config.fabric.enabled = true;
+    config.fabric.max_jitter_s = 0.020;
+    api::PlacementPipeline pipeline =
+        api::make_pipeline("OmniLedger", 8, injected.transactions);
+    Simulation sim(config);
+    const SimResult result = sim.run(injected.transactions, pipeline);
+    EXPECT_TRUE(result.completed);
+    // Without a race only the later contender aborts. More aborts than
+    // conflicts means some pairs both lost, so unlock-to-abort ran.
+    EXPECT_GT(result.aborted_txs, injected.num_conflicts);
+  }
 }
 
 // Property sweep: conservation holds across shard counts and protocols.

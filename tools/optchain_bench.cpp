@@ -16,7 +16,7 @@
 //   --csv_dir=DIR     also save the figure tables as CSV
 //   --seed=S --replicas=R --txs=N --issue_seconds=T
 //   plus per-scenario axis overrides (--rates=, --shards=, --rate=, --k=,
-//   and the `parallel` scenario's --sim_jobs=1,2,4 worker-thread axis)
+//   and the `batch` scenario's --place_jobs=1,2,4 worker-thread axis)
 #include <cstdio>
 #include <exception>
 #include <string>

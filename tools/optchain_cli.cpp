@@ -16,7 +16,7 @@
 //                      [--jitter=SECS]
 //                      [--repartition_interval=SECS] [--repartition_budget=N]
 //                      [--repartition_window=N] [--csv=out.csv]
-//                      [--sim_jobs=N] [--place_jobs=N] [--batch=N]
+//                      [--place_jobs=N] [--batch=N]
 //                      [--profile] [--trace_out=run.otrace]
 //
 // Streams are OPTX trace containers (src/trace): `generate` writes the
@@ -43,16 +43,14 @@
 // --repartition_window= snapshots only the most recent N transactions of
 // the TaN (0 = the whole graph).
 //
-// --sim_jobs=N selects the conservative parallel engine (0 = sequential),
-// --place_jobs=N / --batch=N the micro-batched placement front-end — both
-// bit-identical speed knobs. --profile adds wall-clock engine-phase rows
-// (obs::PhaseProfiler: the parallel engine's phase-A/phase-B split, the
-// batch front-end's prepare/score/commit) to the report. --trace_out=PATH
-// attaches an obs::RunTracer and writes the run's full lifecycle telemetry
-// as an .otrace container (per-tx issue→commit spans, blocks, queue/link
-// samples, churn/re-partition events) — export to Perfetto with
-// `optchain-obs export`; the bytes are identical at any --sim_jobs
-// (determinism rule 9).
+// --place_jobs=N / --batch=N select the micro-batched placement front-end, a
+// bit-identical speed knob. --profile adds wall-clock phase rows
+// (obs::PhaseProfiler: the batch front-end's prepare/score/commit) to the
+// report. --trace_out=PATH attaches an obs::RunTracer and writes the run's
+// full lifecycle telemetry as an .otrace container (per-tx issue→commit
+// spans, blocks, queue/link samples, churn/re-partition events) — export to
+// Perfetto with `optchain-obs export`; the bytes are a pure function of the
+// seeds (determinism rule 9).
 //
 // --method accepts any PlacerRegistry name (case-insensitive): OptChain,
 // T2S, Greedy, OmniLedger (alias: Random), LeastLoaded, Static, Metis.
@@ -161,9 +159,8 @@ api::RunSpec spec_from_flags(const Flags& flags) {
   spec.repartition.window =
       static_cast<std::uint64_t>(flags.get_int("repartition_window", 0));
   spec.repartition.validate();
-  // Execution knobs: both are speed knobs, never semantics knobs — results
-  // are bit-identical at any value.
-  spec.sim_jobs = static_cast<std::uint32_t>(flags.get_int("sim_jobs", 0));
+  // Execution knobs of the batched placement front-end: speed knobs, never
+  // semantics knobs — results are bit-identical at any value.
   spec.place_jobs = static_cast<std::uint32_t>(flags.get_int("place_jobs", 0));
   spec.place_batch = static_cast<std::uint32_t>(
       flags.get_int("batch", spec.place_batch));
