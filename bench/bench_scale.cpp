@@ -27,7 +27,8 @@
 // With repetitions the headline rates ("placement" tx_per_s, "simulation"
 // events_per_s and sim_tx_per_s) are medians over the repetitions, with the
 // slowest rep (_min) and the median absolute deviation (_mad) beside them;
-// every repetition must reproduce the first one's outcome.
+// every repetition must reproduce the first one's outcome. A "host" object
+// records the core count, compiler and build flags the rates came from.
 //
 // The placement path runs twice when place_jobs >= 1: once through the
 // micro-batched front-end (the headline "placement" object) and once
@@ -47,6 +48,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -73,6 +75,19 @@ double peak_rss_mib() {
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<double>(usage.ru_maxrss) / 1024.0;
 }
+
+// Build flags for the JSON's "host" object (the fields perfbench's host
+// record carries).
+#ifdef NDEBUG
+constexpr bool kNdebug = true;
+#else
+constexpr bool kNdebug = false;
+#endif
+#ifdef __OPTIMIZE__
+constexpr bool kOptimized = true;
+#else
+constexpr bool kOptimized = false;
+#endif
 
 /// Median, minimum and median absolute deviation of repeated measurements.
 struct RepStats {
@@ -147,6 +162,12 @@ int run(int argc, char** argv) {
       .field("batch", batch)
       .field("reps", reps)
       .field("smoke", smoke)
+      .end_object();
+  json.begin_object("host")
+      .field("nproc", std::thread::hardware_concurrency())
+      .field("compiler", __VERSION__)
+      .field("ndebug", kNdebug)
+      .field("optimized", kOptimized)
       .end_object();
 
   // ---- workload generation (timed separately, not placement) -----------

@@ -25,18 +25,20 @@ placement::ShardId OptChainPlacer::choose(
   // Step 1-2: normalized T2S scores (all-zero for coinbase), computed into
   // the reused member buffer.
   scorer_.score(dag_, request.index, assignment, last_scores_);
-  return select(request, assignment);
+  return select(request, scorer_.raw_vector(request.index), assignment);
 }
 
 placement::ShardId OptChainPlacer::select(
     const placement::PlacementRequest& request,
+    std::span<const ScoreEntry> support,
     const placement::ShardAssignment& assignment) {
   const std::uint32_t k = assignment.k();
+  const bool timed = !request.timings.empty() && config_.l2s_weight > 0.0;
 
   // Step 3: subtract the weighted L2S expectation when timing data exists —
   // relative to the proof phase all candidates share, which cannot move
   // the argmax (see L2sEstimator::relative_scores).
-  if (!request.timings.empty() && config_.l2s_weight > 0.0) {
+  if (timed) {
     OPTCHAIN_EXPECTS(request.timings.size() == k);
     assignment.input_shards(request.input_txs, input_shards_scratch_);
     l2s_.relative_scores(request.timings, input_shards_scratch_, l2s_scratch_);
@@ -49,10 +51,32 @@ placement::ShardId OptChainPlacer::select(
   // scores without timing data) go to the smaller shard, keeping startup
   // placement balanced; final tie on the lower shard id for determinism.
   if (config_.expected_txs == 0 && assignment.all_active()) {
-    // No capacity cap (full OptChain). First a flat max reduction over the
-    // dense score vector — no size loads, no data-dependent branches, so
-    // the compiler can vectorize it — then the (smaller size, lower id)
-    // tie-break touches only the max-score shards (usually one).
+    if (!timed) {
+      // No timing data, cap or churn: every score is p'(u)[j] / |S_j|, so
+      // each shard outside u's support scores exactly 0 and the argmax only
+      // has to visit the support, in its ascending shard order. A support
+      // shard can still score 0 (an empty shard); it ties with every shard
+      // outside the support, so it is skipped. If nothing scores above 0,
+      // all k shards tie and the tie-break picks the least-loaded one.
+      placement::ShardId best = placement::kUnplaced;
+      double best_score = 0.0;
+      for (const ScoreEntry& entry : support) {
+        const double score = last_scores_[entry.shard];
+        if (score <= 0.0) continue;
+        if (best == placement::kUnplaced || score > best_score ||
+            (score == best_score &&
+             assignment.size_of(entry.shard) < assignment.size_of(best))) {
+          best = entry.shard;
+          best_score = score;
+        }
+      }
+      return best == placement::kUnplaced ? assignment.least_loaded() : best;
+    }
+    // Timing data, no capacity cap (full OptChain). First a flat max
+    // reduction over the dense score vector — no size loads, no
+    // data-dependent branches, so the compiler can vectorize it — then the
+    // (smaller size, lower id) tie-break touches only the max-score shards
+    // (usually one).
     double best_score = last_scores_[0];
     for (std::uint32_t j = 1; j < k; ++j) {
       best_score = std::max(best_score, last_scores_[j]);
@@ -72,7 +96,7 @@ placement::ShardId OptChainPlacer::select(
 
   // Capacity cap (1 + ε)·⌊n/k⌋ (T2S-based variant): full shards are
   // ineligible. Shard churn routes through here too — retired shards are
-  // masked, the uncapped fast loop above being reserved for the all-active
+  // masked, the uncapped loops above being reserved for the all-active
   // common case.
   const std::uint64_t cap =
       config_.expected_txs == 0
@@ -119,7 +143,7 @@ placement::ShardId OptChainPlacer::choose_gathered(
   // Steps 2-4 with step 1 already done by gather(): normalize by the live
   // shard sizes, then run the exact choose() selection.
   scorer_.normalize(merged, assignment, last_scores_);
-  return select(request, assignment);
+  return select(request, merged, assignment);
 }
 
 void OptChainPlacer::commit_gathered(const placement::PlacementRequest& request,

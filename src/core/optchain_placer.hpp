@@ -9,7 +9,12 @@
 //               cross-shard and pays the same proof phase E[max]; that
 //               constant cannot change the argmax and is not computed
 //               (L2sEstimator::relative_scores).
-//   4. place u into argmax_j ( p(u)[j] − l2s_weight · E(j) )
+//   4. place u into argmax_j ( p(u)[j] − l2s_weight · E(j) ). Without
+//      timing data, a cap or churn, only shards in p'(u)'s sparse support
+//      can score above 0, so the argmax scans the support and falls back to
+//      the least-loaded shard when nothing scores above 0 (the dense
+//      tie-break's answer); the timed, capped and churned paths scan all k
+//      shards.
 //   5. p'(u)[S(u)] += α
 //
 // The paper's "T2S-based" baseline (Tables I-II) is this placer with
@@ -117,8 +122,11 @@ class OptChainPlacer final : public placement::Placer, public BatchScorable {
   };
 
   /// Steps 3-4 over the scores already in last_scores_: L2S subtraction
-  /// (when timing data exists) and the tie-breaking argmax.
+  /// (when timing data exists) and the tie-breaking argmax. `support` is the
+  /// pre-commit p'(u) the scores were normalized from (sorted by shard);
+  /// the untimed, uncapped, all-active argmax scans only its entries.
   placement::ShardId select(const placement::PlacementRequest& request,
+                            std::span<const ScoreEntry> support,
                             const placement::ShardAssignment& assignment);
 
   const graph::TanDag& dag_;

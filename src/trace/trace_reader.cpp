@@ -51,6 +51,10 @@ TraceReader::TraceReader(const std::string& path)
     file_.read(reinterpret_cast<char*>(buffer_.data()),
                static_cast<std::streamsize>(buffer_.size()));
     if (!file_) fail(path_, "read failed");
+    // Each transaction encodes as at least two bytes.
+    if (total_ > buffer_.size() / 2) {
+      fail(path_, "corrupt header: transaction count exceeds file size");
+    }
     return;
   }
   if (version_ != kTraceVersion) {
@@ -89,6 +93,11 @@ void TraceReader::parse_footer(std::uint64_t file_size) {
 
   std::size_t offset = 0;
   const std::uint64_t n_chunks = tx::read_varint(footer, offset);
+  // Each index entry is three varints, at least one byte each.
+  if (n_chunks > (footer.size() - offset) / 3) {
+    fail(path_, "corrupt footer: chunk count exceeds footer size");
+  }
+  footer_offset_ = footer_offset;
   chunks_.reserve(n_chunks);
   std::uint64_t expected_first = 0;
   std::uint64_t previous_end = 0;
@@ -122,6 +131,14 @@ void TraceReader::load_chunk(std::size_t chunk) {
                     ": frame count does not match footer index");
   }
   const std::uint64_t payload_bytes = read_varint_stream();
+  // Frames end before the footer: a size past it is corrupt, and must fail
+  // before the resize commits that much memory.
+  const auto payload_start = static_cast<std::uint64_t>(file_.tellg());
+  if (payload_start > footer_offset_ ||
+      payload_bytes > footer_offset_ - payload_start) {
+    fail(path_, "chunk " + std::to_string(chunk) +
+                    ": payload size runs past the footer");
+  }
   buffer_.resize(static_cast<std::size_t>(payload_bytes));
   file_.read(reinterpret_cast<char*>(buffer_.data()),
              static_cast<std::streamsize>(buffer_.size()));

@@ -30,7 +30,8 @@ class TraceReader {
  public:
   /// Opens and validates `path` (header, and for v2 the trailer + footer
   /// index). Throws std::runtime_error on I/O failure, bad magic, an
-  /// unsupported version, or a corrupt footer.
+  /// unsupported version, a corrupt footer, or a transaction or chunk count
+  /// larger than the file can hold.
   explicit TraceReader(const std::string& path);
 
   /// Container version: 1 (flat) or 2 (chunk-indexed).
@@ -51,7 +52,9 @@ class TraceReader {
 
   /// Decodes the next transaction (absolute indices; parent references are
   /// absolute too). Returns false at end of trace. Throws
-  /// std::runtime_error on truncation or a chunk checksum mismatch.
+  /// std::runtime_error on truncation, a chunk frame that runs past the
+  /// footer, a chunk checksum mismatch, or a transaction the body codec
+  /// rejects (tx::decode_transaction).
   bool next(tx::Transaction& out);
 
   /// Repositions the cursor so the next next() yields `index` (== size()
@@ -70,6 +73,7 @@ class TraceReader {
   std::uint32_t version_ = 0;
   std::uint32_t chunk_capacity_ = 0;
   std::uint64_t total_ = 0;
+  std::uint64_t footer_offset_ = 0;  ///< v2: chunk frames end here
   std::vector<ChunkInfo> chunks_;
 
   // Decode cursor. For v2, buffer_ holds the current chunk's payload; for

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 
 #include "common/assert.hpp"
@@ -14,6 +15,17 @@ constexpr std::uint32_t kVersion = 1;
 
 [[noreturn]] void fail(const char* what) {
   throw std::runtime_error(std::string("transaction codec: ") + what);
+}
+
+// Every input, output and transaction encodes as at least two one-byte
+// varints, so a count read from the data can never exceed the bytes left
+// divided by two. Checking that before reserving bounds every allocation by
+// the input's size.
+std::uint64_t read_count(std::span<const std::uint8_t> data,
+                         std::size_t& offset, const char* what) {
+  const std::uint64_t count = read_varint(data, offset);
+  if (count > (data.size() - offset) / 2) fail(what);
+  return count;
 }
 
 }  // namespace
@@ -60,22 +72,37 @@ void decode_transaction(std::span<const std::uint8_t> data,
   out.index = index;
   out.inputs.clear();
   out.outputs.clear();
-  const std::uint64_t n_inputs = read_varint(data, offset);
+  const std::uint64_t n_inputs =
+      read_count(data, offset, "input count exceeds remaining bytes");
   out.inputs.reserve(n_inputs);
   for (std::uint64_t j = 0; j < n_inputs; ++j) {
     OutPoint point;
     const std::uint64_t referenced = read_varint(data, offset);
     if (referenced >= index) fail("forward/self input reference");
     point.tx = static_cast<TxIndex>(referenced);
-    point.vout = static_cast<std::uint32_t>(read_varint(data, offset));
+    const std::uint64_t vout = read_varint(data, offset);
+    if (vout > std::numeric_limits<std::uint32_t>::max()) {
+      fail("output index out of range");
+    }
+    point.vout = static_cast<std::uint32_t>(vout);
     out.inputs.push_back(point);
   }
-  const std::uint64_t n_outputs = read_varint(data, offset);
+  const std::uint64_t n_outputs =
+      read_count(data, offset, "output count exceeds remaining bytes");
   out.outputs.reserve(n_outputs);
   for (std::uint64_t j = 0; j < n_outputs; ++j) {
     TxOut txo;
-    txo.value = static_cast<Amount>(read_varint(data, offset));
-    txo.owner = static_cast<WalletId>(read_varint(data, offset));
+    const std::uint64_t value = read_varint(data, offset);
+    if (value >
+        static_cast<std::uint64_t>(std::numeric_limits<Amount>::max())) {
+      fail("output value out of range");
+    }
+    txo.value = static_cast<Amount>(value);
+    const std::uint64_t owner = read_varint(data, offset);
+    if (owner > std::numeric_limits<WalletId>::max()) {
+      fail("output owner out of range");
+    }
+    txo.owner = static_cast<WalletId>(owner);
     out.outputs.push_back(txo);
   }
 }
@@ -104,7 +131,8 @@ std::vector<Transaction> decode_transactions(
   }
   std::size_t offset = 4;
   if (read_varint(data, offset) != kVersion) fail("unsupported version");
-  const std::uint64_t count = read_varint(data, offset);
+  const std::uint64_t count =
+      read_count(data, offset, "transaction count exceeds remaining bytes");
 
   std::vector<Transaction> out;
   out.reserve(count);

@@ -38,9 +38,10 @@ void encode_transaction(std::vector<std::uint8_t>& out,
                         const Transaction& transaction);
 
 /// Decodes one transaction from data[offset...] into `out`, assigning it
-/// `index` and advancing `offset`. Throws std::runtime_error on truncation
-/// or a forward/self input reference (inputs must name transactions with a
-/// smaller index).
+/// `index` and advancing `offset`. Throws std::runtime_error on truncation,
+/// a forward/self input reference (inputs must name transactions with a
+/// smaller index), an input or output count larger than the remaining bytes
+/// can hold, or a vout, value or owner outside its field's range.
 void decode_transaction(std::span<const std::uint8_t> data,
                         std::size_t& offset, TxIndex index, Transaction& out);
 
@@ -50,7 +51,8 @@ std::vector<std::uint8_t> encode_transactions(
 
 /// Parses a stream produced by encode_transactions. Throws
 /// std::runtime_error on malformed input (bad magic/version, truncation,
-/// forward references).
+/// forward references, counts or fields out of range); allocation stays
+/// bounded by the input's size.
 std::vector<Transaction> decode_transactions(
     std::span<const std::uint8_t> data);
 

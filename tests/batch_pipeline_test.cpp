@@ -156,7 +156,7 @@ void expect_identical(const RunState& seq, const api::PlacementPipeline& bat,
 TEST(BatchPipelineTest, EveryRegisteredPlacerIsBitIdenticalAcrossTheGrid) {
   const std::vector<std::string> methods = api::PlacerRegistry::instance().names();
   ASSERT_FALSE(methods.empty());
-  const std::uint32_t shard_counts[] = {3, 16};
+  const std::uint32_t shard_counts[] = {3, 16, 64};
   const std::uint32_t batch_sizes[] = {1, 7, 256};
   // jobs = 5 oversubscribes every CI machine we run on — the pool must not
   // care.

@@ -3,7 +3,9 @@
 // against the baselines on generated workloads.
 #include <gtest/gtest.h>
 
+#include <iostream>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
@@ -238,6 +240,178 @@ TEST(OptChainPlacerTest, ChoiceIsArgmaxOfFullTemporalFitness) {
     }
     EXPECT_GT(multi_shard_inputs, 50u) << "k " << k;
   }
+}
+
+/// The argmax the dense untimed loops compute over last_scores(): the
+/// highest score among eligible shards (active, below `cap`), then the
+/// smaller shard, then the lower id; least_loaded() when none is eligible.
+/// `tied` counts the eligible shards sharing the best score.
+struct DenseChoice {
+  ShardId shard = placement::kUnplaced;
+  double score = 0.0;
+  std::uint32_t tied = 0;
+};
+
+DenseChoice dense_argmax(std::span<const double> scores,
+                         const ShardAssignment& assignment,
+                         std::uint64_t cap) {
+  DenseChoice best;
+  for (ShardId j = 0; j < assignment.k(); ++j) {
+    if (!assignment.is_active(j) || assignment.size_of(j) >= cap) continue;
+    if (best.shard == placement::kUnplaced || scores[j] > best.score) {
+      best = {j, scores[j], 1};
+    } else if (scores[j] == best.score) {
+      ++best.tied;
+      if (assignment.size_of(j) < assignment.size_of(best.shard)) {
+        best.shard = j;
+      }
+    }
+  }
+  if (best.shard == placement::kUnplaced) {
+    best.shard = assignment.least_loaded();
+  }
+  return best;
+}
+
+struct TieCounts {
+  std::uint64_t all_zero = 0;  ///< steps whose best score 0 is shared
+  std::uint64_t positive = 0;  ///< steps whose best score > 0 is shared
+};
+
+/// Places `txs` one at a time with no timing data and asserts that every
+/// choice is dense_argmax over last_scores(). Halfway through, the largest
+/// shard retires when `retire_midway` is set.
+void expect_untimed_dense_argmax(const OptChainConfig& config,
+                                 std::span<const tx::Transaction> txs,
+                                 std::uint32_t k, bool retire_midway,
+                                 TieCounts& ties) {
+  graph::TanDag dag;
+  OptChainPlacer placer(dag, config);
+  ShardAssignment assignment(k);
+  const std::uint64_t cap =
+      config.expected_txs == 0
+          ? std::numeric_limits<std::uint64_t>::max()
+          : static_cast<std::uint64_t>(
+                (1.0 + config.epsilon) *
+                static_cast<double>(config.expected_txs / k));
+  for (const tx::Transaction& transaction : txs) {
+    if (retire_midway && transaction.index == txs.size() / 2) {
+      const ShardId largest = assignment.largest_active();
+      assignment.retire_shard(largest, largest == 0 ? 1 : 0);
+    }
+    const std::vector<tx::TxIndex> parents = transaction.distinct_input_txs();
+    dag.add_node(parents);
+    PlacementRequest request;
+    request.index = transaction.index;
+    request.input_txs = parents;
+
+    const ShardId chosen = placer.choose(request, assignment);
+    const DenseChoice expected =
+        dense_argmax(placer.last_scores(), assignment, cap);
+    ASSERT_EQ(chosen, expected.shard)
+        << "k " << k << " tx " << request.index << " best score "
+        << expected.score;
+    if (expected.tied >= 2) {
+      ++(expected.score > 0.0 ? ties.positive : ties.all_zero);
+    }
+    assignment.record(request.index, chosen);
+    placer.notify_placed(request, chosen);
+  }
+}
+
+TEST(OptChainPlacerTest, UntimedChoiceIsArgmaxOfDenseT2S) {
+  // Property: without timing data, the choice equals the dense argmax over
+  // every shard's T2S score although the uncapped, all-active placer only
+  // scans u's support. Capped (T2S-based) and churned placers take the
+  // dense loops and are held to the same reference.
+  OptChainConfig capped;
+  capped.l2s_weight = 0.0;
+  capped.expected_txs = 2000;
+  for (const std::uint32_t k : {2u, 16u, 64u, 256u}) {
+    workload::BitcoinLikeGenerator gen({}, 900 + k);
+    const auto txs = gen.generate(2000);
+    TieCounts ties;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_untimed_dense_argmax({}, txs, k, false, ties));
+    EXPECT_GT(ties.all_zero, 0u) << "k " << k;
+    std::cout << "[          ] k=" << k << ": " << ties.all_zero
+              << " all-zero ties, " << ties.positive << " positive ties\n";
+
+    TieCounts fallback_ties;
+    ASSERT_NO_FATAL_FAILURE(
+        expect_untimed_dense_argmax(capped, txs, k, false, fallback_ties))
+        << "capped";
+    ASSERT_NO_FATAL_FAILURE(
+        expect_untimed_dense_argmax({}, txs, k, true, fallback_ties))
+        << "retired shard";
+  }
+}
+
+/// Adds transaction `index` spending `parents` and records it on `shard`
+/// whatever the placer chose, as a diverting front-end may.
+void place_on(graph::TanDag& dag, OptChainPlacer& placer,
+              ShardAssignment& assignment, tx::TxIndex index,
+              const std::vector<tx::TxIndex>& parents, ShardId shard) {
+  dag.add_node(parents);
+  PlacementRequest request;
+  request.index = index;
+  request.input_txs = parents;
+  placer.choose(request, assignment);
+  assignment.record(index, shard);
+  placer.notify_placed(request, shard);
+}
+
+TEST(OptChainPlacerTest, UntimedPositiveTieGoesToTheSmallerShard) {
+  // The generated streams above tie above 0 at no step, so this case pins
+  // the size tie-break among support shards.
+  // p'(3) = 0.5 · (0.5 + 0.5 on shard 0, 0.5 on shard 1) = {0.5, 0.25};
+  // shard 0 holds two transactions, shard 1 one, so both score exactly
+  // 0.25. The smaller shard wins although its id is higher.
+  graph::TanDag dag;
+  OptChainPlacer placer(dag);
+  ShardAssignment assignment(4);
+  place_on(dag, placer, assignment, 0, {}, 1);
+  place_on(dag, placer, assignment, 1, {}, 0);
+  place_on(dag, placer, assignment, 2, {}, 0);
+
+  dag.add_node(std::vector<graph::NodeId>{0, 1, 2});
+  PlacementRequest request;
+  request.index = 3;
+  const std::vector<tx::TxIndex> inputs{0, 1, 2};
+  request.input_txs = inputs;
+  const ShardId chosen = placer.choose(request, assignment);
+  ASSERT_EQ(placer.last_scores()[0], 0.25);
+  ASSERT_EQ(placer.last_scores()[1], 0.25);
+  EXPECT_EQ(chosen, 1u);
+  EXPECT_EQ(chosen, dense_argmax(placer.last_scores(), assignment,
+                                 std::numeric_limits<std::uint64_t>::max())
+                        .shard);
+}
+
+TEST(OptChainPlacerTest, UntimedEmptySupportShardsFallBackToLeastLoaded) {
+  // Re-partitioning can move every transaction off the shard a parent's
+  // mass points at. The child's only support shard then has size 0 and
+  // scores 0 like every other shard, so the tie goes to the least-loaded
+  // shard — here shard 0, not the support shard 2.
+  graph::TanDag dag;
+  OptChainPlacer placer(dag);
+  ShardAssignment assignment(4);
+  place_on(dag, placer, assignment, 0, {}, 2);
+  place_on(dag, placer, assignment, 1, {}, 1);
+  place_on(dag, placer, assignment, 2, {}, 3);
+  assignment.reassign(0, 3);  // sizes {0, 1, 0, 2}
+  ASSERT_EQ(assignment.size_of(2), 0u);
+
+  dag.add_node(std::vector<graph::NodeId>{0});
+  PlacementRequest request;
+  request.index = 3;
+  const std::vector<tx::TxIndex> inputs{0};
+  request.input_txs = inputs;
+  const ShardId chosen = placer.choose(request, assignment);
+  ASSERT_EQ(placer.scorer().raw_vector(3).size(), 1u);
+  ASSERT_EQ(placer.scorer().raw_vector(3)[0].shard, 2u);
+  EXPECT_EQ(chosen, assignment.least_loaded());
+  EXPECT_EQ(chosen, 0u);
 }
 
 // ------------------------------------------------- cross-TX quality sweeps

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "trace/trace_reader.hpp"
 #include "trace/trace_source.hpp"
@@ -103,6 +104,69 @@ TEST(SerializationTest, ForwardReferenceRejected) {
   write_varint(data, 0);  // vout
   write_varint(data, 0);  // n_outputs
   EXPECT_THROW(decode_transactions(data), std::runtime_error);
+}
+
+// Hostile sizes: every count read from the data is bounded by the bytes
+// left before anything is reserved, and every field that is narrowed must
+// fit its type. Each case throws the codec's std::runtime_error — not
+// std::bad_alloc or std::length_error, and not a silent truncation.
+
+TEST(SerializationHostileInputTest, InputCountLargerThanDataThrows) {
+  for (const std::uint64_t n_inputs : {1ULL << 35, 1ULL << 62}) {
+    std::vector<std::uint8_t> data;
+    write_varint(data, n_inputs);  // 6 and 9 bytes, nothing after
+    std::size_t offset = 0;
+    Transaction out;
+    EXPECT_THROW(decode_transaction(data, offset, 1, out), std::runtime_error)
+        << n_inputs;
+  }
+}
+
+TEST(SerializationHostileInputTest, OutputCountLargerThanDataThrows) {
+  std::vector<std::uint8_t> data;
+  write_varint(data, 0);  // n_inputs
+  write_varint(data, 1ULL << 35);
+  std::size_t offset = 0;
+  Transaction out;
+  EXPECT_THROW(decode_transaction(data, offset, 0, out), std::runtime_error);
+}
+
+TEST(SerializationHostileInputTest, TransactionCountLargerThanFileThrows) {
+  std::vector<std::uint8_t> data = {'O', 'P', 'T', 'X'};
+  write_varint(data, 1);          // version
+  write_varint(data, 1ULL << 40);  // count; the 11-byte file ends here
+  ASSERT_EQ(data.size(), 11u);
+  EXPECT_THROW(decode_transactions(data), std::runtime_error);
+}
+
+TEST(SerializationHostileInputTest, OutOfRangeFieldsThrow) {
+  const auto one_tx = [](std::uint64_t vout, std::uint64_t value,
+                         std::uint64_t owner) {
+    std::vector<std::uint8_t> data;
+    write_varint(data, 1);  // n_inputs
+    write_varint(data, 0);  // input tx
+    write_varint(data, vout);
+    write_varint(data, 1);  // n_outputs
+    write_varint(data, value);
+    write_varint(data, owner);
+    return data;
+  };
+  const auto decode = [](const std::vector<std::uint8_t>& data) {
+    std::size_t offset = 0;
+    Transaction out;
+    decode_transaction(data, offset, 1, out);
+    return out;
+  };
+  // The largest in-range values still decode exactly.
+  const Transaction max_fields =
+      decode(one_tx(0xffffffffULL, (1ULL << 63) - 1, 0xffffffffULL));
+  EXPECT_EQ(max_fields.inputs[0].vout, 0xffffffffu);
+  EXPECT_EQ(max_fields.outputs[0].value, std::numeric_limits<Amount>::max());
+  EXPECT_EQ(max_fields.outputs[0].owner, 0xffffffffu);
+
+  EXPECT_THROW(decode(one_tx((1ULL << 32) + 1, 5, 7)), std::runtime_error);
+  EXPECT_THROW(decode(one_tx(0, 1ULL << 63, 7)), std::runtime_error);
+  EXPECT_THROW(decode(one_tx(0, 5, 1ULL << 32)), std::runtime_error);
 }
 
 class SerializationFileTest : public ::testing::Test {

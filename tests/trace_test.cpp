@@ -170,6 +170,96 @@ TEST(TraceCorruptionTest, ChecksumCatchesPayloadFlip) {
   std::remove(path.c_str());
 }
 
+/// Writes raw bytes to a temp file; returns its path.
+std::string write_bytes(const std::string& name,
+                        const std::vector<std::uint8_t>& bytes) {
+  const std::string path = temp_path(name);
+  std::ofstream(path, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  return path;
+}
+
+/// A hand-built v2 file: header (chunk capacity 64), one chunk frame
+/// holding `count` and `payload_bytes` as given followed by `payload`, a
+/// footer indexing `n_chunks` copies of that chunk, and the trailer.
+std::vector<std::uint8_t> hand_built_v2(
+    std::uint64_t count, std::uint64_t payload_bytes,
+    const std::vector<std::uint8_t>& payload, std::uint64_t n_chunks) {
+  std::vector<std::uint8_t> bytes = {'O', 'P', 'T', 'X'};
+  tx::write_varint(bytes, kTraceVersion);
+  tx::write_varint(bytes, 64);
+  const std::uint64_t chunk_offset = bytes.size();
+  tx::write_varint(bytes, count);
+  tx::write_varint(bytes, payload_bytes);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  tx::write_varint(bytes, fnv1a64(payload));
+  const std::uint64_t footer_offset = bytes.size();
+  tx::write_varint(bytes, n_chunks);
+  tx::write_varint(bytes, chunk_offset);
+  tx::write_varint(bytes, 0);  // first_index
+  tx::write_varint(bytes, count);
+  tx::write_varint(bytes, count);  // total
+  for (int shift = 0; shift < 64; shift += 8) {
+    bytes.push_back(static_cast<std::uint8_t>(footer_offset >> shift));
+  }
+  for (const std::uint8_t byte : kTrailerMagic) bytes.push_back(byte);
+  return bytes;
+}
+
+TEST(TraceCorruptionTest, HandBuiltFileIsReadable) {
+  // Guards the builder the hostile cases below start from: one coinbase
+  // transaction (no inputs, no outputs) reads back.
+  const std::string path = write_bytes(
+      "hand_built.optx", hand_built_v2(1, 2, {0, 0}, /*n_chunks=*/1));
+  TraceReader reader(path);
+  EXPECT_EQ(reader.size(), 1u);
+  tx::Transaction transaction;
+  ASSERT_TRUE(reader.next(transaction));
+  EXPECT_TRUE(transaction.inputs.empty());
+  EXPECT_FALSE(reader.next(transaction));
+  std::remove(path.c_str());
+}
+
+TEST(TraceCorruptionTest, FooterChunkCountLargerThanFooterThrows) {
+  const std::string path = write_bytes(
+      "huge_chunk_count.optx", hand_built_v2(1, 2, {0, 0}, 1ULL << 40));
+  EXPECT_THROW(TraceReader{path}, std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceCorruptionTest, PayloadSizePastFooterThrows) {
+  const std::string path = write_bytes(
+      "huge_payload.optx", hand_built_v2(1, 1ULL << 40, {0, 0}, 1));
+  TraceReader reader(path);
+  tx::Transaction transaction;
+  EXPECT_THROW(reader.next(transaction), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceCorruptionTest, ChunkTransactionWithHugeInputCountThrows) {
+  // A checksummed chunk whose one transaction claims 2^35 inputs: the body
+  // codec must refuse the count before reserving for it.
+  std::vector<std::uint8_t> payload;
+  tx::write_varint(payload, 1ULL << 35);
+  const std::string path = write_bytes(
+      "huge_inputs.optx", hand_built_v2(1, payload.size(), payload, 1));
+  TraceReader reader(path);
+  tx::Transaction transaction;
+  EXPECT_THROW(reader.next(transaction), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(TraceCorruptionTest, FlatCountLargerThanFileThrows) {
+  // A flat v1 header announcing 2^40 transactions with no body.
+  std::vector<std::uint8_t> bytes = {'O', 'P', 'T', 'X'};
+  tx::write_varint(bytes, 1);
+  tx::write_varint(bytes, 1ULL << 40);
+  const std::string path = write_bytes("huge_v1_count.optx", bytes);
+  EXPECT_THROW(TraceReader{path}, std::runtime_error);
+  std::remove(path.c_str());
+}
+
 TEST(TraceSeekTest, WindowedSeekLoadsOnlyWindowChunks) {
   const auto txs = bitcoin_stream(4000, 47);
   const std::string path = write_trace(txs, "seek.optx", 100);
