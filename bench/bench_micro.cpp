@@ -139,54 +139,72 @@ void BM_EventQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1024);
 
-/// The sequential engine's lock/spend ledger: every input of a generated
-/// 150k-transaction stream is probed, locked, then spent, in stream order,
-/// into a table pre-sized the way Simulation::run sizes it. Items = inputs.
+/// The sequential engine's lock/spend ledger (sim::ParentIndexedLedger) in
+/// the engine's order over a generated 150k-transaction stream: each
+/// transaction registers its output count, then its inputs are probed and
+/// locked; a second pass spends every input. Items = inputs.
 void BM_OutpointLedger(benchmark::State& state) {
   constexpr std::size_t kTxs = 150000;
   workload::BitcoinLikeGenerator generator({}, 6);
   const auto txs = generator.generate(kTxs);
-  std::vector<std::uint64_t> keys;
-  std::vector<std::uint32_t> spender;
+  std::size_t inputs = 0;
   for (const tx::Transaction& transaction : txs) {
-    for (const tx::OutPoint& point : transaction.inputs) {
-      keys.push_back((static_cast<std::uint64_t>(point.tx) << 32) |
-                     point.vout);
-      spender.push_back(transaction.index);
-    }
+    inputs += transaction.inputs.size();
   }
-  sim::OutpointLedger ledger;
+  sim::ParentIndexedLedger ledger;
   for (auto _ : state) {
     state.PauseTiming();
     ledger.clear();
     ledger.reserve(kTxs);
     state.ResumeTiming();
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      benchmark::DoNotOptimize(ledger.find(keys[i]));
-      ledger[keys[i]] = {sim::OutpointState::kLocked, spender[i]};
+    for (const tx::Transaction& transaction : txs) {
+      ledger.register_outputs(
+          transaction.index,
+          static_cast<std::uint32_t>(transaction.outputs.size()));
+      for (const tx::OutPoint& point : transaction.inputs) {
+        benchmark::DoNotOptimize(ledger.find(point));
+        ledger[point] = {sim::OutpointState::kLocked, transaction.index};
+      }
     }
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ledger[keys[i]] = {sim::OutpointState::kSpent, spender[i]};
+    for (const tx::Transaction& transaction : txs) {
+      for (const tx::OutPoint& point : transaction.inputs) {
+        ledger[point] = {sim::OutpointState::kSpent, transaction.index};
+      }
     }
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(keys.size()));
+                          static_cast<std::int64_t>(inputs));
 }
 BENCHMARK(BM_OutpointLedger)->Unit(benchmark::kMillisecond);
 
-/// The sequential engine's in-flight window: issue one transaction and
-/// settle the oldest, at a fixed in-flight depth (Arg).
+/// The sequential engine's in-flight window at a fixed in-flight depth
+/// (Arg): issue one transaction with its generated inputs (those with more
+/// than four spill to the heap), walk the inputs of the oldest, settle it.
 void BM_InflightWindow(benchmark::State& state) {
   const auto depth = static_cast<std::uint32_t>(state.range(0));
+  workload::BitcoinLikeGenerator generator({}, 6);
+  const auto txs = generator.generate(4096);
   sim::InflightWindow window;
   std::uint32_t next = 0;
-  for (; next < depth; ++next) window.open(next);
-  for (auto _ : state) {
-    window.open(next).issue_time = static_cast<double>(next);
-    benchmark::DoNotOptimize(window.at(next - depth).issue_time);
-    window.erase(next - depth);
+  const auto issue = [&] {
+    sim::Inflight& record = window.open(next);
+    record.issue_time = static_cast<double>(next);
+    for (const tx::OutPoint& point : txs[next % txs.size()].inputs) {
+      record.inputs.push_back(point, point.tx % 16);
+    }
     ++next;
+  };
+  while (next < depth) issue();
+  for (auto _ : state) {
+    issue();
+    const std::uint32_t oldest = next - 1 - depth;
+    std::uint32_t shards = 0;
+    for (const sim::InflightInput& input : window.at(oldest).inputs) {
+      shards += input.shard;
+    }
+    benchmark::DoNotOptimize(shards);
+    window.erase(oldest);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -55,13 +55,6 @@ StreamOutcome run_placement(const RunSpec& spec, workload::TxSource& source,
   return pipeline.place_stream(source, warm_parts);
 }
 
-/// Runs `source` through the simulation engine at the spec's operating point.
-sim::SimResult run_engine(const RunSpec& spec, workload::TxSource& source,
-                          PlacementPipeline& pipeline) {
-  sim::Simulation simulation(spec.sim_config());
-  return simulation.run(source, pipeline);
-}
-
 }  // namespace
 
 sim::SimConfig RunSpec::sim_config() const {
@@ -193,10 +186,13 @@ RunReport place(const RunSpec& spec, workload::TxSource& source,
 RunReport simulate(const RunSpec& spec,
                    std::span<const tx::Transaction> transactions) {
   ProfileScope profile(spec.profile);
+  // The engine validates its config (SimConfig::validate) before the
+  // pipeline is built, so a bad shard count is an error, not an abort.
+  sim::Simulation simulation(spec.sim_config());
   PlacementPipeline pipeline = make_pipeline(
       spec.method, spec.num_shards, transactions, spec.seed);
   workload::SpanTxSource source(transactions);
-  sim::SimResult result = run_engine(spec, source, pipeline);
+  sim::SimResult result = simulation.run(source, pipeline);
 
   RunReport report;
   report.profile = profile.finish();
@@ -215,10 +211,11 @@ RunReport simulate(const RunSpec& spec,
 RunReport simulate(const RunSpec& spec, workload::TxSource& source,
                    std::uint64_t expected_txs) {
   ProfileScope profile(spec.profile);
+  sim::Simulation simulation(spec.sim_config());  // validates first
   PlacementPipeline pipeline =
       make_pipeline(spec.method, spec.num_shards, {}, spec.seed, {},
                     source.size_hint().value_or(expected_txs));
-  sim::SimResult result = run_engine(spec, source, pipeline);
+  sim::SimResult result = simulation.run(source, pipeline);
 
   RunReport report;
   report.profile = profile.finish();

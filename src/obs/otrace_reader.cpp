@@ -78,10 +78,20 @@ OtraceReader::OtraceReader(const std::string& path)
   file_.read(reinterpret_cast<char*>(footer.data()),
              static_cast<std::streamsize>(footer_bytes));
   if (!file_) fail(path_, "footer read failed");
+  footer_offset_ = footer_offset;
+  std::size_t cursor = 0;
+  std::uint64_t n_chunks = 0;
   try {
-    std::size_t cursor = 0;
-    const std::uint64_t n_chunks = tx::read_varint(footer, cursor);
-    chunks_.reserve(n_chunks);
+    n_chunks = tx::read_varint(footer, cursor);
+  } catch (const std::exception&) {
+    fail(path_, "corrupt footer index");
+  }
+  // Each index entry is three varints, at least one byte each.
+  if (n_chunks > (footer.size() - cursor) / 3) {
+    fail(path_, "corrupt footer: chunk count exceeds footer size");
+  }
+  chunks_.reserve(static_cast<std::size_t>(n_chunks));
+  try {
     for (std::uint64_t c = 0; c < n_chunks; ++c) {
       OtraceChunkInfo info;
       info.offset = tx::read_varint(footer, cursor);
@@ -92,6 +102,11 @@ OtraceReader::OtraceReader(const std::string& path)
     total_ = tx::read_varint(footer, cursor);
   } catch (const std::exception&) {
     fail(path_, "corrupt footer index");
+  }
+  for (const OtraceChunkInfo& info : chunks_) {
+    if (info.offset >= footer_offset) {
+      fail(path_, "corrupt footer: chunk offset past the footer");
+    }
   }
 }
 
@@ -115,6 +130,14 @@ void OtraceReader::load_chunk(std::size_t chunk) {
     fail(path_, "corrupt chunk frame");
   }
   if (count != info.count) fail(path_, "chunk count mismatch vs footer");
+  // The payload must end before the footer, so a corrupt size cannot make
+  // the buffer larger than the file. (The footer parse checked that the
+  // frame starts before the footer.)
+  const std::uint64_t payload_start = info.offset + cursor;
+  if (payload_start > footer_offset_ ||
+      payload_bytes > footer_offset_ - payload_start) {
+    fail(path_, "corrupt chunk frame: payload runs past the footer");
+  }
 
   buffer_.resize(static_cast<std::size_t>(payload_bytes));
   file_.clear();
@@ -204,6 +227,10 @@ bool OtraceReader::next(TraceRecord& out) {
       case TraceRecordType::kQueueSample: {
         out.time = read_payload_f64();
         const std::uint64_t n = read_payload_varint();
+        // Each queue size is a varint of at least one byte.
+        if (n > buffer_.size() - buffer_offset_) {
+          fail(path_, "truncated record (queue count exceeds chunk)");
+        }
         out.queues.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
           out.queues.push_back(read_payload_varint());
@@ -213,6 +240,10 @@ bool OtraceReader::next(TraceRecord& out) {
       case TraceRecordType::kLinkSample: {
         out.time = read_payload_f64();
         const std::uint64_t n = read_payload_varint();
+        // Each link entry is two varints and an f64: at least 10 bytes.
+        if (n > (buffer_.size() - buffer_offset_) / 10) {
+          fail(path_, "truncated record (link count exceeds chunk)");
+        }
         out.links.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
           TraceRecord::Link link;

@@ -87,6 +87,7 @@ class OtraceReader {
   std::string path_;
   std::uint32_t chunk_capacity_ = 0;
   std::uint64_t total_ = 0;
+  std::uint64_t footer_offset_ = 0;  ///< every chunk frame ends before it
   std::vector<OtraceChunkInfo> chunks_;
 
   std::vector<std::uint8_t> buffer_;  ///< current chunk's payload

@@ -33,7 +33,6 @@ void FabricConfig::validate() const {
     reject("link.bandwidth_bps must be positive (got " +
            std::to_string(link.bandwidth_bps) + ")");
   }
-  if (!enabled) return;
   if (regions == 0) reject("regions must be >= 1");
   if (!(intra_region_latency_s >= 0.0) || !(inter_region_latency_s >= 0.0)) {
     reject("region latencies must be non-negative");

@@ -81,10 +81,12 @@ struct FabricConfig {
   double retransmit_timeout_s = 1.0;
 
   /// Rejects non-physical configurations with std::invalid_argument:
-  /// non-positive (or NaN) link bandwidth, zero regions, negative latency /
-  /// jitter / straggler terms, a straggler fraction outside [0, 1], or a
-  /// finite queue without a positive retransmit timeout. The flat
-  /// NetworkModel applies the same bandwidth check at construction.
+  /// non-positive (or NaN) link bandwidth, zero regions, negative (or NaN)
+  /// latency / jitter / straggler terms, a straggler fraction outside
+  /// [0, 1], or a finite queue without a positive retransmit timeout. A
+  /// disabled config is checked too, so a nonsense knob is reported rather
+  /// than silently ignored. The flat NetworkModel applies the same
+  /// bandwidth check at construction.
   void validate() const;
 };
 

@@ -15,7 +15,7 @@
 namespace optchain::sim {
 
 void RepartitionConfig::validate() const {
-  if (interval_s < 0.0) {
+  if (!(interval_s >= 0.0)) {
     throw std::invalid_argument(
         "repartition: interval_s must be >= 0 (0 disables)");
   }

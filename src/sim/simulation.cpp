@@ -1,6 +1,9 @@
 #include "sim/simulation.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -9,21 +12,81 @@
 
 namespace optchain::sim {
 
-Simulation::Simulation(SimConfig config)
-    : config_(config),
-      network_(config.network),
-      fabric_(config.fabric, network_, config.seed),
-      rng_(config.seed),
-      result_{} {
-  OPTCHAIN_EXPECTS(config_.num_shards >= 1);
-  OPTCHAIN_EXPECTS(config_.tx_rate_tps > 0.0);
-  // The queue sample reschedules itself this far ahead; zero would spin at
-  // one instant forever (the comparison also rejects NaN).
-  OPTCHAIN_EXPECTS(config_.queue_sample_interval_s > 0.0);
-  for (const ShardChurnEvent& change : config_.churn.events) {
-    OPTCHAIN_EXPECTS(change.time_s >= 0.0);
+void SimConfig::validate() const {
+  const auto reject = [](const std::string& field, const std::string& rule,
+                         const std::string& got) {
+    throw std::invalid_argument("SimConfig: " + field + " must be " + rule +
+                                " (got " + got + ")");
+  };
+  const auto positive = [](double value) {
+    return value > 0.0 && std::isfinite(value);
+  };
+  using std::to_string;
+  if (num_shards == 0) reject("num_shards", ">= 1", "0");
+  if (!positive(tx_rate_tps)) {
+    reject("tx_rate_tps", "positive and finite", to_string(tx_rate_tps));
   }
+  if (!(network.bandwidth_bps > 0.0)) {
+    reject("network.bandwidth_bps", "positive",
+           to_string(network.bandwidth_bps));
+  }
+  if (consensus.committee_size == 0) {
+    reject("consensus.committee_size", ">= 1", "0");
+  }
+  if (consensus.txs_per_block == 0) {
+    reject("consensus.txs_per_block", ">= 1", "0");
+  }
+  if (!(leader_fault_rate >= 0.0 && leader_fault_rate <= 1.0)) {
+    reject("leader_fault_rate", "in [0, 1]", to_string(leader_fault_rate));
+  }
+  if (!(view_change_penalty_s >= 0.0)) {
+    reject("view_change_penalty_s", "non-negative",
+           to_string(view_change_penalty_s));
+  }
+  for (std::size_t s = 0; s < shard_slowdown.size(); ++s) {
+    if (!positive(shard_slowdown[s])) {
+      reject("shard_slowdown[" + to_string(s) + "]", "positive and finite",
+             to_string(shard_slowdown[s]));
+    }
+  }
+  // The queue sample reschedules itself this far ahead; zero would spin at
+  // one instant forever.
+  if (!positive(queue_sample_interval_s)) {
+    reject("queue_sample_interval_s", "positive and finite",
+           to_string(queue_sample_interval_s));
+  }
+  if (!positive(commit_window_s)) {
+    reject("commit_window_s", "positive and finite",
+           to_string(commit_window_s));
+  }
+  if (!(max_sim_time_s >= 0.0)) {
+    reject("max_sim_time_s", "non-negative", to_string(max_sim_time_s));
+  }
+  for (const ShardChurnEvent& change : churn.events) {
+    if (!(change.time_s >= 0.0)) {
+      reject("churn.events[].time_s", "non-negative",
+             to_string(change.time_s));
+    }
+  }
+  fabric.validate();
+  repartition.validate();
+}
 
+namespace {
+
+SimConfig validated(SimConfig config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
+
+Simulation::Simulation(SimConfig config)
+    : config_(validated(std::move(config))),
+      network_(config_.network),
+      fabric_(config_.fabric, network_, config_.seed),
+      rng_(config_.seed),
+      result_{} {
   client_position_ = network_.random_position(rng_);
   OPTCHAIN_ASSERT(fabric_.add_endpoint() == kClientEndpoint);
   shards_.reserve(config_.num_shards);
@@ -132,13 +195,11 @@ SimResult Simulation::run(workload::TxSource& source,
 
   const auto hint = source.size_hint();
   if (hint.has_value()) {
-    // Pre-size everything that scales with the stream so the run never
-    // rehashes or reallocates per-transaction state mid-flight: the
-    // lock/spend ledger sees ~1.5 entries per transaction on Bitcoin-like
-    // workloads (225k for 150k txs), which one entry per transaction at the
-    // ledger's half-load ceiling covers, and the pipeline forwards the hint
-    // to its dag, assignment and placer (TanDag::reserve /
-    // ScorePool::reserve). The in-flight window sizes itself by doubling.
+    // Pre-size the per-transaction arrays that scale with the stream: the
+    // ledger's output-count prefix sums, and, through the pipeline, its
+    // dag, assignment and placer (TanDag::reserve / ScorePool::reserve).
+    // The ledger's flat slots and the in-flight window size themselves by
+    // doubling.
     outpoint_state_.reserve(static_cast<std::size_t>(*hint));
     pipeline.reserve(*hint);
     if (repartition_enabled()) {
@@ -343,13 +404,13 @@ void Simulation::issue_transaction(std::uint32_t index) {
   }
 
   // The protocol only needs the inputs from here on, each with the shard it
-  // is checked at. Swapping hands staged_ the record's cleared vector, whose
-  // capacity the prefetch below reuses, and the shard list reuses the
-  // recycled record's capacity, so steady-state issues allocate nothing.
-  flight.inputs.swap(staged_.inputs);
-  for (const tx::OutPoint& point : flight.inputs) {
-    flight.input_shards.push_back(assignment_->shard_of(point.tx));
+  // is checked at, and the ledger needs this transaction's output count
+  // before any child locks one of its outputs.
+  for (const tx::OutPoint& point : staged_.inputs) {
+    flight.inputs.push_back(point, assignment_->shard_of(point.tx));
   }
+  outpoint_state_.register_outputs(
+      index, static_cast<std::uint32_t>(staged_.outputs.size()));
   ++outstanding_;
   ++issued_;
   notify_issue(index, flight.issue_time, placed.cross);
@@ -366,40 +427,36 @@ void Simulation::issue_transaction(std::uint32_t index) {
 }
 
 bool Simulation::try_lock_inputs(std::uint32_t index, std::uint32_t shard) {
-  const Inflight& flight = inflight_.at(index);
-  for (std::size_t i = 0; i < flight.inputs.size(); ++i) {
-    if (resolve_shard(flight.input_shards[i]) != shard) continue;
-    const OutpointLedger::Entry* entry =
-        outpoint_state_.find(outpoint_key(flight.inputs[i]));
+  const InflightInputs& inputs = inflight_.at(index).inputs;
+  for (const InflightInput& input : inputs) {
+    if (resolve_shard(input.shard) != shard) continue;
+    const ParentIndexedLedger::Entry* entry = outpoint_state_.find(input.point);
     if (entry != nullptr && entry->tx != index) {
       return false;  // held or spent by a conflicting transaction
     }
   }
-  for (std::size_t i = 0; i < flight.inputs.size(); ++i) {
-    if (resolve_shard(flight.input_shards[i]) != shard) continue;
-    outpoint_state_[outpoint_key(flight.inputs[i])] = {OutpointState::kLocked,
-                                                       index};
+  for (const InflightInput& input : inputs) {
+    if (resolve_shard(input.shard) != shard) continue;
+    outpoint_state_[input.point] = {OutpointState::kLocked, index};
   }
   return true;
 }
 
 void Simulation::release_locks(std::uint32_t index, std::uint32_t shard) {
-  const Inflight& flight = inflight_.at(index);
-  for (std::size_t i = 0; i < flight.inputs.size(); ++i) {
-    if (resolve_shard(flight.input_shards[i]) != shard) continue;
-    const std::uint64_t key = outpoint_key(flight.inputs[i]);
-    const OutpointLedger::Entry* entry = outpoint_state_.find(key);
+  for (const InflightInput& input : inflight_.at(index).inputs) {
+    if (resolve_shard(input.shard) != shard) continue;
+    const ParentIndexedLedger::Entry* entry = outpoint_state_.find(input.point);
     if (entry != nullptr && entry->state == OutpointState::kLocked &&
         entry->tx == index) {
-      outpoint_state_.erase(key);
+      outpoint_state_.erase(input.point);
     }
   }
 }
 
 void Simulation::spend_inputs(std::uint32_t index) {
-  const Inflight& flight = inflight_.at(index);
-  for (const tx::OutPoint& point : flight.inputs) {
-    OutpointLedger::Entry& entry = outpoint_state_[outpoint_key(point)];
+  for (const InflightInput& input : inflight_.at(index).inputs) {
+    const tx::OutPoint& point = input.point;
+    ParentIndexedLedger::Entry& entry = outpoint_state_[point];
     // Every input was locked (or, same-shard, checked) at the shard it was
     // sent to, so no other transaction can have spent it.
     OPTCHAIN_ASSERT(entry.state != OutpointState::kSpent || entry.tx == index);

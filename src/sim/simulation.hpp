@@ -31,11 +31,13 @@
 // action is a typed POD Event (sim/event_queue.hpp) dispatched by the
 // on_event() switch — no per-event closures — and the transaction stream is
 // pulled from a workload::TxSource one transaction at a time. A run keeps a
-// record per in-flight transaction plus 4 bytes per index of the in-flight
-// span (sim/tx_state.hpp's InflightWindow; at the paper's operating point,
-// 150k txs at 6000 tps, the span peaks at 73k-78k indices and ~36k live
-// records), the lock/spend ledger (~1.5 entries per transaction), and the
-// O(1)-per-tx placement state the pipeline owns — not the whole stream.
+// 136-byte record per in-flight transaction, whose first 64 bytes hold up to
+// four inputs with the shards they are checked at, plus 4 bytes per index of
+// the in-flight span (sim/tx_state.hpp's InflightWindow; at the paper's
+// operating point, 150k txs at 6000 tps, the span peaks at 73k-78k indices
+// and ~36k live records). It also keeps the lock/spend ledger, 8 bytes per
+// issued transaction plus 8 per output (~2.3 outputs per transaction), and
+// the O(1)-per-tx placement state the pipeline owns — not the whole stream.
 #pragma once
 
 #include <cstdint>
@@ -112,6 +114,15 @@ struct SimConfig {
   /// outlive the run. The engine's own metric collection is itself an
   /// observer (stats::MetricsObserver), always notified first.
   std::vector<SimObserver*> observers;
+
+  /// Throws std::invalid_argument naming the first nonsensical field: zero
+  /// shards, a rate, queue-sample interval, commit window or shard slowdown
+  /// that is not positive and finite, a leader fault rate outside [0, 1], a
+  /// negative view-change penalty, horizon or churn time, a non-positive
+  /// network bandwidth, an empty committee or block, or a fabric or
+  /// re-partition config that fails its own validate(). NaN fails every
+  /// check. Simulation's constructor calls it first.
+  void validate() const;
 };
 
 struct SimResult {
@@ -219,9 +230,6 @@ class Simulation final : private EventHandler {
     return staged_valid_ || outstanding_ > 0;
   }
 
-  static std::uint64_t outpoint_key(const tx::OutPoint& point) noexcept {
-    return (static_cast<std::uint64_t>(point.tx) << 32) | point.vout;
-  }
   /// Fabric endpoint ids: the client is endpoint 0, shard s is 1 + s
   /// (endpoints register in spawn order).
   static constexpr std::uint32_t kClientEndpoint = 0;
@@ -286,12 +294,13 @@ class Simulation final : private EventHandler {
   /// (stateless fabric propagation between fixed positions) and set once in
   /// spawn_shard_node(); observe_timings() refreshes `mean_verify`.
   std::vector<latency::ShardTiming> timings_;
-  /// Lock/spend ledger per outpoint; absent key = available. Spent entries
+  /// Lock/spend ledger per outpoint; absent = available. Spent entries
   /// persist (double-spend detection), so this is the one per-run structure
-  /// that grows with the stream: ~1.5 entries per transaction on
-  /// Bitcoin-like workloads (225k for 150k txs), pre-sized from the size
-  /// hint so the run never rehashes mid-flight.
-  OutpointLedger outpoint_state_;
+  /// that grows with the stream: an 8-byte prefix sum per issued
+  /// transaction plus an 8-byte slot per output it registers (~2.3 outputs
+  /// per transaction on Bitcoin-like workloads), and a hashed fallback that
+  /// holds only the outpoints no parent registered.
+  ParentIndexedLedger outpoint_state_;
   std::vector<std::uint64_t> queue_sizes_;  // scratch for sample_queues
   std::vector<LinkSample> link_samples_;    // scratch for sample_queues
   /// Shard-addressed events dispatched per shard (SimResult diagnostics).

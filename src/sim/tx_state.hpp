@@ -1,20 +1,34 @@
 // Flat per-transaction state of the sequential engine (sim::Simulation).
 //
 // Every issue, lock request, proof and commit touches two per-transaction
-// structures, so their layout is on the engine's hot path:
+// structures, so their layout is on the engine's hot path. A lock, release
+// or spend reads the inputs from the record's first cache line and each
+// input's state from one flat slot, with no separate input and shard
+// buffers and no hashed table in between:
 //
-//   InflightWindow  the protocol record of each issued, not-yet-settled
-//                   transaction, addressed by its dense stream index. A
-//                   power-of-two ring of 4-byte record ids covers
-//                   [oldest live index, next index to issue) and doubles
-//                   when that span outgrows it. Records live in a
-//                   std::deque, which never moves them, and are recycled
-//                   through a free list with their vectors' capacity, so a
-//                   steady-state run allocates nothing per transaction.
-//   OutpointLedger  the lock/spend state of every outpoint a transaction has
-//                   locked or spent. Open addressing with linear probing
-//                   from a mix64-hashed home slot, 16-byte slots, at most
-//                   half full, backward-shift deletion (no tombstones).
+//   InflightWindow       the protocol record of each issued, not-yet-settled
+//                        transaction, addressed by its dense stream index. A
+//                        power-of-two ring of 4-byte record ids covers
+//                        [oldest live index, next index to issue) and doubles
+//                        when that span outgrows it. Records live in a
+//                        std::deque, which never moves them, and are recycled
+//                        through a free list. A record keeps up to four
+//                        inputs, each next to the shard it is checked at, in
+//                        its first 64 bytes; larger input lists spill to a
+//                        vector whose capacity the record keeps, so a
+//                        steady-state run allocates nothing per transaction.
+//   ParentIndexedLedger  the lock/spend state of every outpoint a transaction
+//                        has locked or spent. Each issued transaction
+//                        registers its output count as a running prefix sum,
+//                        so outpoint (p, v) with v < outputs(p) has an 8-byte
+//                        slot at base(p) + v. Spends are recency-biased, so
+//                        the slots a lock touches are mostly recent and
+//                        cached. Every other outpoint (synthetic hotspot
+//                        vouts, edge-list vouts past a parent's one output)
+//                        goes to an OutpointLedger: open addressing with
+//                        linear probing from a mix64-hashed home slot,
+//                        16-byte slots, at most half full, backward-shift
+//                        deletion (no tombstones).
 //
 // Neither container is ever iterated by the engine, so the simulated
 // outcome cannot depend on their layout.
@@ -23,6 +37,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <vector>
 
@@ -42,18 +57,70 @@ struct PendingCross {
   std::vector<std::uint32_t> accepted_shards;
 };
 
+/// One input of an in-flight transaction and the shard it is checked at:
+/// the shard its parent was on at issue, where its lock request (or
+/// same-shard delivery) went. That shard, or its successor after a
+/// retirement, checks the input; a later re-partition move does not change
+/// it.
+struct InflightInput {
+  tx::OutPoint point;
+  std::uint32_t shard = 0;
+
+  friend bool operator==(const InflightInput&,
+                         const InflightInput&) = default;
+};
+static_assert(sizeof(InflightInput) == 12);
+
+/// The inputs of one in-flight transaction, in the order they were added.
+/// Up to kInline of them are stored in place; past that, all of them live
+/// in a heap vector whose capacity clear() keeps.
+class InflightInputs {
+ public:
+  /// Inputs stored in place.
+  static constexpr std::uint32_t kInline = 4;
+
+  /// Appends an input and the shard it is checked at.
+  void push_back(const tx::OutPoint& point, std::uint32_t shard) {
+    if (count_ < kInline) {
+      inline_[count_] = {point, shard};
+    } else {
+      if (count_ == kInline) {
+        spilled_.insert(spilled_.end(), std::begin(inline_),
+                        std::end(inline_));
+      }
+      spilled_.push_back({point, shard});
+    }
+    ++count_;
+  }
+
+  /// Empties the list, keeping the heap vector's capacity.
+  void clear() noexcept {
+    count_ = 0;
+    spilled_.clear();
+  }
+
+  const InflightInput* begin() const noexcept {
+    return count_ <= kInline ? inline_ : spilled_.data();
+  }
+  const InflightInput* end() const noexcept { return begin() + count_; }
+  std::size_t size() const noexcept { return count_; }
+  bool empty() const noexcept { return count_ == 0; }
+
+ private:
+  std::uint32_t count_ = 0;
+  InflightInput inline_[kInline];
+  /// Every input once there are more than kInline; empty until then.
+  std::vector<InflightInput> spilled_;
+};
+
 /// Everything the protocol still needs about an issued, not-yet-terminal
 /// transaction. Erased once the transaction commits (or aborts and every
 /// unlock-to-abort has released its locks), which is what keeps streamed
-/// runs at O(in-flight) memory.
+/// runs at O(in-flight) memory. The issue time, the input count and up to
+/// four inputs fill the record's first 64 bytes: what a lock reads.
 struct Inflight {
   double issue_time = 0.0;
-  std::vector<tx::OutPoint> inputs;
-  /// Parallel to `inputs`: the shard each input's parent was on at issue,
-  /// where its lock request (or same-shard delivery) went. That shard, or
-  /// its successor after a retirement, checks the input; a later
-  /// re-partition move does not change it.
-  std::vector<std::uint32_t> input_shards;
+  InflightInputs inputs;
   PendingCross cross;
   /// Unlock-to-abort messages still traveling after an abort; the entry
   /// stays alive until they have all released their locks.
@@ -65,7 +132,6 @@ struct Inflight {
   void reset() noexcept {
     issue_time = 0.0;
     inputs.clear();
-    input_shards.clear();
     cross.remaining_locks = 0;
     cross.output_shard = 0;
     cross.rejected = false;
@@ -164,7 +230,8 @@ enum class OutpointState : std::uint8_t { kLocked, kSpent };
 
 /// Lock/spend state per outpoint key (tx << 32 | vout); an absent key is
 /// available. Map-like find / operator[] / erase over an open-addressing
-/// table that grows by doubling at half load.
+/// table that grows by doubling at half load. ParentIndexedLedger keeps
+/// the outpoints no registered parent covers here.
 class OutpointLedger {
  public:
   /// Who holds an outpoint and how. A default entry is a lock held by tx 0.
@@ -172,6 +239,8 @@ class OutpointLedger {
     OutpointState state = OutpointState::kLocked;
     std::uint32_t tx = 0;
   };
+  /// State byte of an empty slot; never a stored entry's state.
+  static constexpr OutpointState kVacant = static_cast<OutpointState>(0xff);
 
   OutpointLedger() : slots_(kMinSlots) {}
 
@@ -179,13 +248,6 @@ class OutpointLedger {
   void clear() {
     slots_.assign(slots_.size(), Slot{});
     size_ = 0;
-  }
-
-  /// Grows the table so `entries` fit without a rehash.
-  void reserve(std::size_t entries) {
-    std::size_t count = slots_.size();
-    while (count < 2 * entries) count *= 2;
-    if (count > slots_.size()) rehash(count);
   }
 
   /// The entry for `key`, or nullptr if the outpoint is available.
@@ -243,8 +305,6 @@ class OutpointLedger {
   std::size_t slot_count() const noexcept { return slots_.size(); }
 
  private:
-  /// State byte of an empty slot; never a stored entry's state.
-  static constexpr OutpointState kVacant = static_cast<OutpointState>(0xff);
   static constexpr std::size_t kMinSlots = 16;
 
   struct Slot {
@@ -273,5 +333,100 @@ class OutpointLedger {
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
 };
+
+/// Lock/spend state per outpoint; an absent outpoint is available. The
+/// same map-like find / operator[] / erase as OutpointLedger, keyed by
+/// tx::OutPoint.
+///
+/// Transactions register their output counts in index order. An outpoint
+/// (p, v) of a registered parent with v < outputs(p) has a fixed 8-byte
+/// slot at base(p) + v, where base(p) is the number of outputs registered
+/// before p. Every other outpoint lives in an OutpointLedger. Register a
+/// parent before touching any of its outpoints: an entry made earlier sits
+/// in the fallback, where the registration would hide it. The engine meets
+/// this because a transaction's inputs precede it (TanDag::add_node).
+class ParentIndexedLedger {
+ public:
+  using Entry = OutpointLedger::Entry;
+
+  ParentIndexedLedger() : base_(1, 0) {}
+
+  /// Forgets every entry and registration.
+  void clear() {
+    base_.assign(1, 0);
+    slots_.clear();
+    fallback_.clear();
+    flat_size_ = 0;
+  }
+
+  /// Makes room to register `txs` transactions without reallocating.
+  void reserve(std::size_t txs) { base_.reserve(txs + 1); }
+
+  /// Registers that transaction `tx`, the next one in index order (0, 1, 2,
+  /// ... after clear()), has `outputs` outputs.
+  void register_outputs(std::uint32_t tx, std::uint32_t outputs) {
+    OPTCHAIN_EXPECTS(tx == registered());
+    base_.push_back(base_.back() + outputs);
+    slots_.resize(base_.back(), Entry{OutpointLedger::kVacant, 0});
+  }
+
+  /// The entry for `point`, or nullptr if the outpoint is available.
+  Entry* find(const tx::OutPoint& point) noexcept {
+    if (Entry* slot = flat_slot(point)) {
+      return slot->state == OutpointLedger::kVacant ? nullptr : slot;
+    }
+    return fallback_.find(key_of(point));
+  }
+
+  /// The entry for `point`, inserting a default Entry if there is none.
+  Entry& operator[](const tx::OutPoint& point) {
+    if (Entry* slot = flat_slot(point)) {
+      if (slot->state == OutpointLedger::kVacant) {
+        *slot = Entry{};
+        ++flat_size_;
+      }
+      return *slot;
+    }
+    return fallback_[key_of(point)];
+  }
+
+  /// Removes `point`'s entry; returns whether there was one.
+  bool erase(const tx::OutPoint& point) noexcept {
+    if (Entry* slot = flat_slot(point)) {
+      if (slot->state == OutpointLedger::kVacant) return false;
+      slot->state = OutpointLedger::kVacant;
+      --flat_size_;
+      return true;
+    }
+    return fallback_.erase(key_of(point));
+  }
+
+  /// Stored entries, flat and fallback.
+  std::size_t size() const noexcept { return flat_size_ + fallback_.size(); }
+  /// Transactions whose output counts are registered.
+  std::size_t registered() const noexcept { return base_.size() - 1; }
+  /// Flat slots: the registered transactions' outputs.
+  std::size_t flat_slots() const noexcept { return slots_.size(); }
+  /// Entries held by the fallback table.
+  std::size_t fallback_size() const noexcept { return fallback_.size(); }
+
+ private:
+  static std::uint64_t key_of(const tx::OutPoint& point) noexcept {
+    return (static_cast<std::uint64_t>(point.tx) << 32) | point.vout;
+  }
+
+  /// `point`'s flat slot, or nullptr if it belongs to the fallback.
+  Entry* flat_slot(const tx::OutPoint& point) noexcept {
+    if (point.tx >= registered()) return nullptr;
+    const std::uint64_t slot = base_[point.tx] + point.vout;
+    return slot < base_[point.tx + 1] ? &slots_[slot] : nullptr;
+  }
+
+  std::vector<std::uint64_t> base_;  // base_[p]: outputs registered before p
+  std::vector<Entry> slots_;         // one per registered output
+  OutpointLedger fallback_;
+  std::size_t flat_size_ = 0;        // occupied flat slots
+};
+static_assert(sizeof(ParentIndexedLedger::Entry) == 8);
 
 }  // namespace optchain::sim

@@ -3,6 +3,8 @@
 // replaced, warm-start/preview semantics, and the RunReport CSV output.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -15,6 +17,7 @@
 #include "placement/random_placer.hpp"
 #include "stats/metrics.hpp"
 #include "workload/bitcoin_like_generator.hpp"
+#include "workload/tx_source.hpp"
 
 namespace optchain::api {
 namespace {
@@ -309,6 +312,52 @@ TEST(RunReportTest, SimulateFillsSimResult) {
   EXPECT_GT(report.total, 0u);
   const TextTable table = report.to_table();
   EXPECT_GT(table.rows(), 10u);
+}
+
+// Bad operating points fail with std::invalid_argument naming the field,
+// on both simulate() overloads, before anything that would abort on them
+// is built: ShardAssignment on zero shards, WindowCounter on a zero commit
+// window, ShardNode on a zero slowdown.
+TEST(RunReportTest, SimulateRejectsBadConfigsNamingTheField) {
+  const auto txs = stream(300);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  struct BadSpec {
+    const char* field;
+    std::function<void(RunSpec&)> apply;
+  };
+  const BadSpec cases[] = {
+      {"commit_window_s", [](RunSpec& s) { s.commit_window_s = 0.0; }},
+      {"shard_slowdown[0]", [](RunSpec& s) { s.shard_slowdown = {0.0}; }},
+      {"tx_rate_tps", [nan](RunSpec& s) { s.rate_tps = nan; }},
+      {"tx_rate_tps", [](RunSpec& s) { s.rate_tps = -5.0; }},
+      {"num_shards", [](RunSpec& s) { s.num_shards = 0; }},
+      {"queue_sample_interval_s",
+       [nan](RunSpec& s) { s.queue_sample_interval_s = nan; }},
+      {"leader_fault_rate", [](RunSpec& s) { s.leader_fault_rate = 2.0; }},
+      {"max_jitter_s", [](RunSpec& s) { s.fabric.max_jitter_s = -0.5; }},
+      {"max_jitter_s", [nan](RunSpec& s) { s.fabric.max_jitter_s = nan; }},
+  };
+  const auto expect_named = [](const char* field, const auto& run) {
+    try {
+      run();
+      ADD_FAILURE() << field << ": no error";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  };
+  for (const BadSpec& bad : cases) {
+    RunSpec spec;
+    spec.method = "OptChain";
+    spec.num_shards = 4;
+    spec.rate_tps = 500.0;
+    bad.apply(spec);
+    expect_named(bad.field, [&] { simulate(spec, txs); });
+    expect_named(bad.field, [&] {
+      workload::SpanTxSource source(txs);
+      simulate(spec, source);
+    });
+  }
 }
 
 }  // namespace

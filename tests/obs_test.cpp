@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -19,13 +20,16 @@
 #include <vector>
 
 #include "api/run_spec.hpp"
+#include "common/hash.hpp"
 #include "common/histogram.hpp"
 #include "common/json_writer.hpp"
 #include "obs/chrome_export.hpp"
 #include "obs/metrics_registry.hpp"
+#include "obs/otrace_format.hpp"
 #include "obs/otrace_reader.hpp"
 #include "obs/phase_profiler.hpp"
 #include "obs/run_tracer.hpp"
+#include "txmodel/serialization.hpp"
 #include "workload/bitcoin_like_generator.hpp"
 
 namespace optchain {
@@ -179,6 +183,111 @@ TEST(OtraceReaderTest, RejectsCorruptTraces) {
   mutated[mutated.size() / 3] ^= 0x40;
   spit(flipped, mutated);
   EXPECT_THROW(drain(flipped), std::runtime_error);
+}
+
+// A hand-built OTRC container: header, one chunk frame that claims
+// `claimed_payload` bytes but carries `payload`, then a footer whose chunk
+// count is `n_chunks` (its one real entry points at the frame).
+std::string hand_built_otrace(std::uint64_t claimed_payload,
+                              const std::vector<std::uint8_t>& payload,
+                              std::uint64_t n_chunks) {
+  std::vector<std::uint8_t> bytes(obs::kOtraceMagic, obs::kOtraceMagic + 4);
+  tx::write_varint(bytes, obs::kOtraceVersion);
+  tx::write_varint(bytes, 8);  // chunk capacity
+  const std::uint64_t chunk_offset = bytes.size();
+  tx::write_varint(bytes, 1);  // records in the chunk
+  tx::write_varint(bytes, claimed_payload);
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  tx::write_varint(bytes, fnv1a(payload));
+  const std::uint64_t footer_offset = bytes.size();
+  tx::write_varint(bytes, n_chunks);
+  tx::write_varint(bytes, chunk_offset);
+  tx::write_varint(bytes, 0);  // first index
+  tx::write_varint(bytes, 1);  // count
+  tx::write_varint(bytes, 1);  // total records
+  for (int shift = 0; shift < 64; shift += 8) {
+    bytes.push_back(static_cast<std::uint8_t>(footer_offset >> shift));
+  }
+  bytes.insert(bytes.end(), obs::kOtraceTrailerMagic,
+               obs::kOtraceTrailerMagic + 4);
+  return std::string(bytes.begin(), bytes.end());
+}
+
+/// One record payload: `type`, an f64 time of 1.0, then a varint count.
+std::vector<std::uint8_t> sample_claiming(obs::TraceRecordType type,
+                                          std::uint64_t count) {
+  std::vector<std::uint8_t> payload = {static_cast<std::uint8_t>(type)};
+  const std::uint64_t time_bits = std::bit_cast<std::uint64_t>(1.0);
+  for (int shift = 0; shift < 64; shift += 8) {
+    payload.push_back(static_cast<std::uint8_t>(time_bits >> shift));
+  }
+  tx::write_varint(payload, count);
+  return payload;
+}
+
+TEST(OtraceReaderTest, HandBuiltTraceIsReadable) {
+  // Guards the builder the hostile cases below start from: one queue
+  // sample with two shards decodes.
+  std::vector<std::uint8_t> payload =
+      sample_claiming(obs::TraceRecordType::kQueueSample, 2);
+  payload.push_back(3);
+  payload.push_back(4);
+  const std::string path = temp_path("hand_built.otrace");
+  spit(path, hand_built_otrace(payload.size(), payload, 1));
+  obs::OtraceReader reader(path);
+  obs::TraceRecord record;
+  ASSERT_TRUE(reader.next(record));
+  EXPECT_EQ(record.type, obs::TraceRecordType::kQueueSample);
+  EXPECT_EQ(record.time, 1.0);
+  EXPECT_EQ(record.queues, (std::vector<std::uint64_t>{3, 4}));
+  EXPECT_FALSE(reader.next(record));
+}
+
+// Sizes read from a file are bounded by the bytes that can back them, so a
+// hostile file raises the reader's error instead of a huge allocation.
+TEST(OtraceReaderTest, FooterChunkCountLargerThanFooterThrows) {
+  const std::string path = temp_path("huge_chunk_count.otrace");
+  spit(path, hand_built_otrace(0, {}, 1ULL << 40));
+  try {
+    obs::OtraceReader reader(path);
+    ADD_FAILURE() << "opened";
+  } catch (const std::runtime_error& error) {
+    // Refused by the bound, not by a failed reservation.
+    EXPECT_NE(std::string(error.what()).find("chunk count"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+TEST(OtraceReaderTest, PayloadSizePastFooterThrows) {
+  const std::string path = temp_path("huge_payload.otrace");
+  spit(path, hand_built_otrace(1ULL << 40, {}, 1));
+  obs::OtraceReader reader(path);
+  obs::TraceRecord record;
+  EXPECT_THROW(reader.next(record), std::runtime_error);
+}
+
+TEST(OtraceReaderTest, QueueCountLargerThanChunkThrows) {
+  const std::vector<std::uint8_t> payload =
+      sample_claiming(obs::TraceRecordType::kQueueSample, 1ULL << 40);
+  const std::string path = temp_path("huge_queue_count.otrace");
+  spit(path, hand_built_otrace(payload.size(), payload, 1));
+  obs::OtraceReader reader(path);
+  obs::TraceRecord record;
+  EXPECT_THROW(reader.next(record), std::runtime_error);
+}
+
+TEST(OtraceReaderTest, LinkCountLargerThanChunkThrows) {
+  // Nine bytes follow the count: room for one byte per entry, but not for
+  // one 10-byte link entry.
+  std::vector<std::uint8_t> payload =
+      sample_claiming(obs::TraceRecordType::kLinkSample, 1ULL << 40);
+  payload.insert(payload.end(), 9, 0);
+  const std::string path = temp_path("huge_link_count.otrace");
+  spit(path, hand_built_otrace(payload.size(), payload, 1));
+  obs::OtraceReader reader(path);
+  obs::TraceRecord record;
+  EXPECT_THROW(reader.next(record), std::runtime_error);
 }
 
 // ---------------------------------------------------------- Chrome export

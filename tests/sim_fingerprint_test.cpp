@@ -13,11 +13,14 @@
 //
 // The pins were captured while a second, parallel engine still reproduced
 // every one of these runs bit for bit (event_heap_peak aside), so they hold
-// the engine to outcomes that were cross-checked. The golden_test rows cover
-// a flat network without churn or conflicts; these cases cover the rest of
-// the space. A moved pin means the simulated outcome changed: the test
-// prints the case's fields and its new digests. Change a pin only for a
-// deliberate semantic change, and say so in the change description.
+// the engine to outcomes that were cross-checked. The three outpoint cases
+// (hotspot vouts, edge-list vouts, 30-input floods) came later: their pins
+// were captured while every outpoint still lived in the hashed
+// OutpointLedger, before the parent-indexed ledger existed. The golden_test
+// rows cover a flat network without churn or conflicts; these cases cover
+// the rest of the space. A moved pin means the simulated outcome changed:
+// the test prints the case's fields and its new digests. Change a pin only
+// for a deliberate semantic change, and say so in the change description.
 //
 // The 28 drawn cases come from a fixed-seed PRNG (placer × protocol × churn
 // × re-partition × fabric preset × stream seed/length); the SCOPED_TRACE
@@ -35,6 +38,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
@@ -48,6 +52,9 @@
 #include "trace/trace_writer.hpp"
 #include "workload/bitcoin_like_generator.hpp"
 #include "workload/conflict_injector.hpp"
+#include "workload/dataset_loader.hpp"
+#include "workload/dynamic_profile.hpp"
+#include "workload/tan_builder.hpp"
 #include "workload/tx_source.hpp"
 
 namespace optchain {
@@ -485,11 +492,96 @@ void add_spec_cases(std::vector<Case>& cases) {
                    }});
 }
 
+// Outpoints the cases above never produce: synthetic hotspot vouts, vouts
+// past a parent's output count, and transactions with dozens of inputs.
+void add_outpoint_cases(std::vector<Case>& cases) {
+  // Hotspot injection spends synthetic vouts (>= kInjectedVoutBase) of a
+  // rotating hot set. Injection makes the stream length unknown, so the run
+  // has no size hint and pre-sizes nothing.
+  cases.push_back(
+      {"hotspot_OptChain_omni", "2500 txs + 15% hotspot injection, no hint",
+       [](sim::SimObserver& tracer) {
+         workload::GeneratorTxSource inner({}, kStreamSeed, 2500);
+         workload::DynamicProfile profile;
+         profile.hotspot.injection_fraction = 0.15;
+         profile.hotspot.hot_set_size = 16;
+         profile.hotspot.rotation_interval = 400;
+         profile.hotspot.fanout_inputs = 2;
+         workload::DynamicTxSource source(inner, profile, kStreamSeed + 2);
+         sim::SimConfig config = small_blocks(ProtocolMode::kOmniLedger);
+         config.observers = {&tracer};
+         api::PlacementPipeline pipeline = api::make_pipeline(
+             "OptChain", config.num_shards, {}, 1, {}, 3000);
+         sim::Simulation simulation(config);
+         return simulation.run(source, pipeline);
+       }});
+
+  // An edge-list replay gives every parent one output and numbers its
+  // spends 0, 1, 2, ...; double spends injected into the replayed stream
+  // then contend for vouts past the parent's output count.
+  cases.push_back(
+      {"edge_list_conflicts_OmniLedger_omni",
+       "3000 txs saved as a TaN edge list, replayed, 3% double spends",
+       [](sim::SimObserver& tracer) {
+         const std::string path =
+             ::testing::TempDir() + "/fingerprint_replay.tan";
+         workload::save_tan_edge_list(
+             workload::build_tan(generate(kStreamSeed, 3000)), path);
+         workload::EdgeListFileTxSource replay(path);
+         std::vector<tx::Transaction> replayed =
+             workload::materialize(replay);
+         std::filesystem::remove(path);
+         sim::SimConfig config = small_blocks(ProtocolMode::kOmniLedger);
+         config.fabric.enabled = true;
+         config.fabric.max_jitter_s = 0.020;
+         return run_config(config, "OmniLedger",
+                           workload::inject_double_spends(
+                               std::move(replayed), 0.03, kStreamSeed + 3,
+                               /*window=*/8)
+                               .transactions,
+                           tracer);
+       }});
+
+  // A flood episode of 30-input consolidations with injected double spends,
+  // a slow shard, jitter, churn and online re-partitioning: records past the
+  // inline input capacity lock, release and spend across many shards.
+  cases.push_back(
+      {"flood_conflicts_churn_repartition",
+       "2500 txs, 30-input flood [800, 1100), 3% double spends, 6 shards, "
+       "remove@1 add@2, repartition every 0.5 s",
+       [](sim::SimObserver& tracer) {
+         workload::WorkloadConfig flooded;
+         flooded.flood = {800, 1100, 30};
+         workload::BitcoinLikeGenerator generator(flooded, kStreamSeed);
+         const workload::ConflictStream injected =
+             workload::inject_double_spends(generator.generate(2500), 0.03,
+                                            kStreamSeed + 4, /*window=*/8);
+         api::RunSpec spec;
+         spec.method = "OmniLedger";
+         spec.num_shards = 6;
+         spec.seed = 7;
+         spec.rate_tps = 800.0;
+         spec.commit_window_s = 2.0;
+         spec.shard_slowdown = {1.0, 1.0, 4.0};
+         spec.fabric.enabled = true;
+         spec.fabric.max_jitter_s = 0.020;
+         spec.churn.events = {
+             {1.0, sim::ChurnKind::kRemoveShard,
+              sim::ShardChurnEvent::kAutoShard},
+             {2.0, sim::ChurnKind::kAddShard, 0},
+         };
+         spec.repartition.interval_s = 0.5;
+         spec.repartition.budget = 100;
+         return run_spec(spec, injected.transactions, tracer);
+       }});
+}
+
 std::vector<Case> all_cases() {
   std::vector<Case> cases;
   add_drawn_cases(cases);
   add_config_cases(cases);
   add_spec_cases(cases);
+  add_outpoint_cases(cases);
   return cases;
 }
 
@@ -553,6 +645,11 @@ constexpr Pin kPins[] = {
     {"repartition_Fennel", 0xa73ef2cd495125dd, 0x56c01165065397a5},
     {"repartition_churn_OptChain", 0x7335cb153a357fdc, 0xfe85a050d1343644},
     {"churn_congested_OptChain", 0x956703cf7c32d58f, 0x9a09b06de900b7aa},
+    {"hotspot_OptChain_omni", 0xea1ee081d67efb55, 0x739f9ead024b7fa5},
+    {"edge_list_conflicts_OmniLedger_omni", 0xebe6dd2973083f09,
+     0xf5cdbd297ae69f6c},
+    {"flood_conflicts_churn_repartition", 0x34a2e7f10a58c20b,
+     0x3dd4fe0553a223f7},
 };
 
 const Pin* find_pin(std::string_view name) {

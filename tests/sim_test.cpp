@@ -5,9 +5,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <random>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -407,14 +410,164 @@ TEST(OutpointLedgerTest, MatchesUnorderedMapOracle) {
   }
 }
 
-TEST(OutpointLedgerTest, ReserveAndClearKeepTheTable) {
+// ----------------------------------------------------- ParentIndexedLedger
+
+// A seeded random mix of find, lock, spend and erase against a
+// std::unordered_map oracle, over every kind of outpoint the engine meets:
+// registered outputs (flat slots), vouts at and past a parent's output
+// count, synthetic hotspot vouts, outputs of zero-output parents, and
+// parents that never registered (all fallback). A second round after
+// clear() registers different counts over the same indices.
+TEST(ParentIndexedLedgerTest, MatchesUnorderedMapOracle) {
+  using Entry = ParentIndexedLedger::Entry;
+  constexpr std::uint32_t kParents = 64;
+  constexpr std::uint32_t kSynthetic = 0x40000000u;  // kInjectedVoutBase
+  std::mt19937_64 rng(20261018);
+  ParentIndexedLedger ledger;
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(round);
+    std::vector<std::uint32_t> outputs(kParents);
+    std::uint64_t registered_outputs = 0;
+    for (std::uint32_t p = 0; p < kParents; ++p) {
+      outputs[p] = static_cast<std::uint32_t>(rng() % 4);  // a quarter are 0
+      ledger.register_outputs(p, outputs[p]);
+      registered_outputs += outputs[p];
+    }
+    ASSERT_EQ(ledger.registered(), kParents);
+    ASSERT_EQ(ledger.flat_slots(), registered_outputs);
+
+    std::vector<tx::OutPoint> pool;
+    std::size_t flat_points = 0;
+    for (std::uint32_t p = 0; p < kParents; ++p) {
+      for (std::uint32_t v = 0; v < outputs[p]; ++v) pool.push_back({p, v});
+      flat_points = pool.size();
+      pool.push_back({p, outputs[p]});  // one past the last output
+      pool.push_back({p, outputs[p] + 2});
+      pool.push_back({p, kSynthetic + p % 3});
+    }
+    for (std::uint32_t p = kParents; p < kParents + 4; ++p) {
+      pool.push_back({p, 0});  // never registered
+    }
+    pool.push_back({tx::kInvalidTx, 0});
+    const auto is_flat = [&](const tx::OutPoint& point) {
+      return point.tx < kParents && point.vout < outputs[point.tx];
+    };
+    ASSERT_GT(flat_points, 0u);
+
+    std::unordered_map<std::uint64_t, Entry> oracle;
+    const auto key = [](const tx::OutPoint& point) {
+      return (static_cast<std::uint64_t>(point.tx) << 32) | point.vout;
+    };
+    std::size_t max_flat = 0;
+    std::size_t max_fallback = 0;
+    for (int step = 0; step < 20000; ++step) {
+      const tx::OutPoint point = pool[rng() % pool.size()];
+      const auto it = oracle.find(key(point));
+      const auto holder = static_cast<std::uint32_t>(rng() % 1000);
+      const std::uint64_t op = rng() % 4;
+      switch (op) {
+        case 0: {  // find
+          const Entry* entry = ledger.find(point);
+          ASSERT_EQ(entry != nullptr, it != oracle.end())
+              << point.tx << ':' << point.vout;
+          if (entry != nullptr) {
+            EXPECT_EQ(entry->state, it->second.state);
+            EXPECT_EQ(entry->tx, it->second.tx);
+          }
+          break;
+        }
+        case 1:    // lock
+        case 2: {  // spend
+          Entry& entry = ledger[point];
+          const Entry expected = it == oracle.end() ? Entry{} : it->second;
+          EXPECT_EQ(entry.state, expected.state);
+          EXPECT_EQ(entry.tx, expected.tx);
+          const Entry next{
+              op == 1 ? OutpointState::kLocked : OutpointState::kSpent,
+              holder};
+          entry = next;
+          oracle[key(point)] = next;
+          break;
+        }
+        default:  // erase
+          EXPECT_EQ(ledger.erase(point), it != oracle.end());
+          oracle.erase(key(point));
+          break;
+      }
+      ASSERT_EQ(ledger.size(), oracle.size());
+      std::size_t fallback = 0;
+      for (const auto& [k, entry] : oracle) {
+        if (!is_flat({static_cast<std::uint32_t>(k >> 32),
+                      static_cast<std::uint32_t>(k)})) {
+          ++fallback;
+        }
+      }
+      ASSERT_EQ(ledger.fallback_size(), fallback);
+      max_flat = std::max(max_flat, oracle.size() - fallback);
+      max_fallback = std::max(max_fallback, fallback);
+    }
+    EXPECT_GT(max_flat, 0u);  // both halves were exercised
+    EXPECT_GT(max_fallback, 0u);
+    for (const tx::OutPoint& point : pool) {
+      const Entry* entry = ledger.find(point);
+      const auto it = oracle.find(key(point));
+      ASSERT_EQ(entry != nullptr, it != oracle.end());
+      if (entry != nullptr) {
+        EXPECT_EQ(entry->state, it->second.state);
+        EXPECT_EQ(entry->tx, it->second.tx);
+      }
+    }
+
+    ledger.clear();
+    EXPECT_EQ(ledger.size(), 0u);
+    EXPECT_EQ(ledger.registered(), 0u);
+    EXPECT_EQ(ledger.flat_slots(), 0u);
+    EXPECT_EQ(ledger.fallback_size(), 0u);
+  }
+}
+
+// Registered slots start available, and a parent's flat slots sit next to
+// each other: locking (p, v) touches nothing but (p, v).
+TEST(ParentIndexedLedgerTest, NeighbouringSlotsStayIndependent) {
+  ParentIndexedLedger ledger;
+  ledger.register_outputs(0, 2);
+  ledger.register_outputs(1, 0);
+  ledger.register_outputs(2, 3);
+  EXPECT_EQ(ledger.flat_slots(), 5u);
+  for (const tx::OutPoint point :
+       {tx::OutPoint{0, 0}, tx::OutPoint{0, 1}, tx::OutPoint{2, 0},
+        tx::OutPoint{2, 1}, tx::OutPoint{2, 2}}) {
+    EXPECT_EQ(ledger.find(point), nullptr);
+    ledger[point] = {OutpointState::kSpent, point.tx * 10 + point.vout};
+  }
+  EXPECT_EQ(ledger.size(), 5u);
+  EXPECT_EQ(ledger.fallback_size(), 0u);
+  EXPECT_EQ(ledger.find({0, 2}), nullptr);  // past tx 0's outputs
+  EXPECT_EQ(ledger.find({1, 0}), nullptr);  // tx 1 has none
+  EXPECT_TRUE(ledger.erase({2, 1}));
+  EXPECT_FALSE(ledger.erase({2, 1}));
+  for (const tx::OutPoint point :
+       {tx::OutPoint{0, 0}, tx::OutPoint{0, 1}, tx::OutPoint{2, 0},
+        tx::OutPoint{2, 2}}) {
+    const ParentIndexedLedger::Entry* entry = ledger.find(point);
+    ASSERT_NE(entry, nullptr) << point.tx << ':' << point.vout;
+    EXPECT_EQ(entry->tx, point.tx * 10 + point.vout);
+  }
+  EXPECT_EQ(ledger.find({2, 1}), nullptr);
+}
+
+TEST(ParentIndexedLedgerDeathTest, RegistersInIndexOrder) {
+  ParentIndexedLedger ledger;
+  ledger.register_outputs(0, 1);
+  EXPECT_DEATH(ledger.register_outputs(2, 1), "Precondition");
+}
+
+TEST(OutpointLedgerTest, GrowsAtHalfLoadAndClearKeepsTheTable) {
   OutpointLedger ledger;
-  ledger.reserve(100);
-  const std::size_t slots = ledger.slot_count();
-  EXPECT_EQ(slots, 256u);  // the next power of two at half load
   for (std::uint64_t key = 0; key < 100; ++key) ledger[key << 32];
   EXPECT_EQ(ledger.size(), 100u);
-  EXPECT_EQ(ledger.slot_count(), slots);  // no rehash within the reservation
+  const std::size_t slots = ledger.slot_count();
+  EXPECT_EQ(slots, 256u);  // the next power of two at half load
   ledger.clear();
   EXPECT_EQ(ledger.size(), 0u);
   EXPECT_EQ(ledger.slot_count(), slots);
@@ -422,6 +575,55 @@ TEST(OutpointLedgerTest, ReserveAndClearKeepTheTable) {
 }
 
 // ---------------------------------------------------------- InflightWindow
+
+std::vector<InflightInput> inputs_of(const Inflight& record) {
+  return {record.inputs.begin(), record.inputs.end()};
+}
+
+/// `count` distinct inputs; `salt` tells two lists of one count apart.
+std::vector<InflightInput> make_inputs(std::uint32_t count,
+                                       std::uint32_t salt) {
+  std::vector<InflightInput> inputs;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    inputs.push_back({{salt * 100 + i, i % 3}, (salt + i) % 7});
+  }
+  return inputs;
+}
+
+// Counts on both sides of the inline capacity (4): every input comes back
+// in order with its shard, and a record recycled after any count starts
+// empty and holds exactly the next transaction's inputs.
+TEST(InflightWindowTest, InputsComeBackInOrderAtEveryCount) {
+  static_assert(InflightInputs::kInline == 4);
+  const std::uint32_t kCounts[] = {0, 1, 4, 5, 30};
+  InflightWindow window;
+  std::uint32_t index = 0;
+  for (const std::uint32_t before : kCounts) {
+    for (const std::uint32_t after : kCounts) {
+      SCOPED_TRACE(std::to_string(before) + " then " + std::to_string(after));
+      Inflight& first = window.open(index);
+      const std::vector<InflightInput> first_inputs = make_inputs(before, 1);
+      for (const InflightInput& input : first_inputs) {
+        first.inputs.push_back(input.point, input.shard);
+      }
+      EXPECT_EQ(first.inputs.size(), before);
+      EXPECT_EQ(inputs_of(first), first_inputs);
+      window.erase(index++);
+
+      Inflight& second = window.open(index);
+      ASSERT_EQ(&second, &first);  // the freed record is reused
+      EXPECT_TRUE(second.inputs.empty());
+      EXPECT_EQ(second.inputs.begin(), second.inputs.end());
+      const std::vector<InflightInput> second_inputs = make_inputs(after, 2);
+      for (const InflightInput& input : second_inputs) {
+        second.inputs.push_back(input.point, input.shard);
+      }
+      EXPECT_EQ(second.inputs.size(), after);
+      EXPECT_EQ(inputs_of(second), second_inputs);
+      window.erase(index++);
+    }
+  }
+}
 
 TEST(InflightWindowTest, ErasesInAnyOrder) {
   InflightWindow window;
@@ -460,7 +662,8 @@ TEST(InflightWindowTest, LongLivedRecordSurvivesRingDoublings) {
   const auto first = static_cast<std::uint32_t>(4 * initial_span);
   Inflight& held = window.open(first);
   held.issue_time = 42.0;
-  held.inputs = {{7, 1}, {8, 2}};
+  held.inputs.push_back({7, 1}, 3);
+  held.inputs.push_back({8, 2}, 5);
   const auto last = first + static_cast<std::uint32_t>(8 * initial_span);
   for (std::uint32_t i = first + 1; i <= last; ++i) {
     window.open(i).issue_time = static_cast<double>(i);
@@ -471,7 +674,8 @@ TEST(InflightWindowTest, LongLivedRecordSurvivesRingDoublings) {
   ASSERT_TRUE(window.contains(first));
   EXPECT_EQ(&window.at(first), &held);  // records never move
   EXPECT_EQ(held.issue_time, 42.0);
-  EXPECT_EQ(held.inputs, (std::vector<tx::OutPoint>{{7, 1}, {8, 2}}));
+  EXPECT_EQ(inputs_of(held),
+            (std::vector<InflightInput>{{{7, 1}, 3}, {{8, 2}, 5}}));
   EXPECT_EQ(window.at(last).issue_time, static_cast<double>(last));
   window.erase(first);
   window.erase(last);
@@ -482,7 +686,8 @@ TEST(InflightWindowTest, RecycledRecordStartsReset) {
   InflightWindow window;
   Inflight& used = window.open(0);
   used.issue_time = 1.5;
-  used.inputs = {{3, 0}, {4, 1}};
+  used.inputs.push_back({3, 0}, 1);
+  used.inputs.push_back({4, 1}, 2);
   used.cross.remaining_locks = 3;
   used.cross.output_shard = 2;
   used.cross.rejected = true;
@@ -495,7 +700,6 @@ TEST(InflightWindowTest, RecycledRecordStartsReset) {
   EXPECT_EQ(&recycled, &used);
   EXPECT_EQ(recycled.issue_time, 0.0);
   EXPECT_TRUE(recycled.inputs.empty());
-  EXPECT_GE(recycled.inputs.capacity(), 2u);  // capacity kept for reuse
   EXPECT_EQ(recycled.cross.remaining_locks, 0u);
   EXPECT_EQ(recycled.cross.output_shard, 0u);
   EXPECT_FALSE(recycled.cross.rejected);
@@ -690,15 +894,70 @@ TEST(SimulationTest, ShardSizesSumToTotal) {
   EXPECT_EQ(sum, txs.size());
 }
 
-// A zero interval would reschedule the queue sample at one instant forever;
-// negative and NaN intervals would fail deep inside the event queue.
-TEST(SimulationDeathTest, NonPositiveQueueSampleIntervalRejected) {
-  for (const double interval :
-       {0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+// Every nonsense value is an std::invalid_argument that names its field,
+// thrown by the constructor before it builds anything. A zero queue-sample
+// interval, for one, would reschedule the sample at one instant forever.
+TEST(SimulationTest, InvalidConfigsThrowNamingTheField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct BadConfig {
+    const char* field;
+    std::function<void(SimConfig&)> apply;
+  };
+  const BadConfig cases[] = {
+      {"num_shards", [](SimConfig& c) { c.num_shards = 0; }},
+      {"tx_rate_tps", [](SimConfig& c) { c.tx_rate_tps = 0.0; }},
+      {"tx_rate_tps", [](SimConfig& c) { c.tx_rate_tps = -5.0; }},
+      {"tx_rate_tps", [nan](SimConfig& c) { c.tx_rate_tps = nan; }},
+      {"tx_rate_tps", [inf](SimConfig& c) { c.tx_rate_tps = inf; }},
+      {"network.bandwidth_bps",
+       [](SimConfig& c) { c.network.bandwidth_bps = 0.0; }},
+      {"consensus.committee_size",
+       [](SimConfig& c) { c.consensus.committee_size = 0; }},
+      {"consensus.txs_per_block",
+       [](SimConfig& c) { c.consensus.txs_per_block = 0; }},
+      {"leader_fault_rate", [](SimConfig& c) { c.leader_fault_rate = 2.0; }},
+      {"leader_fault_rate", [](SimConfig& c) { c.leader_fault_rate = -0.1; }},
+      {"leader_fault_rate", [nan](SimConfig& c) { c.leader_fault_rate = nan; }},
+      {"view_change_penalty_s",
+       [](SimConfig& c) { c.view_change_penalty_s = -1.0; }},
+      {"shard_slowdown[1]",
+       [](SimConfig& c) { c.shard_slowdown = {1.0, 0.0}; }},
+      {"shard_slowdown[0]", [nan](SimConfig& c) { c.shard_slowdown = {nan}; }},
+      {"queue_sample_interval_s",
+       [](SimConfig& c) { c.queue_sample_interval_s = 0.0; }},
+      {"queue_sample_interval_s",
+       [](SimConfig& c) { c.queue_sample_interval_s = -1.0; }},
+      {"queue_sample_interval_s",
+       [nan](SimConfig& c) { c.queue_sample_interval_s = nan; }},
+      {"commit_window_s", [](SimConfig& c) { c.commit_window_s = 0.0; }},
+      {"commit_window_s", [nan](SimConfig& c) { c.commit_window_s = nan; }},
+      {"max_sim_time_s", [nan](SimConfig& c) { c.max_sim_time_s = nan; }},
+      {"churn.events[].time_s",
+       [](SimConfig& c) {
+         c.churn.events = {{-1.0, ChurnKind::kAddShard, 0}};
+       }},
+      // Nested validators, a disabled fabric included.
+      {"max_jitter_s", [](SimConfig& c) { c.fabric.max_jitter_s = -0.5; }},
+      {"max_jitter_s", [nan](SimConfig& c) { c.fabric.max_jitter_s = nan; }},
+      {"interval_s", [nan](SimConfig& c) { c.repartition.interval_s = nan; }},
+  };
+  for (const BadConfig& bad : cases) {
     SimConfig config = small_config(2, 100.0);
-    config.queue_sample_interval_s = interval;
-    EXPECT_DEATH(Simulation{config}, "queue_sample_interval_s") << interval;
+    bad.apply(config);
+    EXPECT_THROW(config.validate(), std::invalid_argument) << bad.field;
+    try {
+      Simulation simulation(config);
+      ADD_FAILURE() << bad.field << ": constructed";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(bad.field), std::string::npos)
+          << error.what();
+    }
   }
+  SimConfig ok = small_config(2, 100.0);
+  ok.max_sim_time_s = inf;
+  ok.shard_slowdown = {1.0, 25.0};
+  EXPECT_NO_THROW(ok.validate());
 }
 
 TEST(SimulationTest, HorizonAbortReportsIncomplete) {

@@ -146,12 +146,16 @@ api::RunSpec spec_from_flags(const Flags& flags) {
   }
   // Fabric preset first, then the per-knob overrides on top of it.
   spec.fabric = sim::fabric_preset(flags.get_string("fabric", "off"));
-  const long long regions = flags.get_int("regions", -1);
-  if (regions >= 0) {
+  // A given knob always overrides the preset, so validate() sees (and
+  // rejects) a nonsense value instead of the preset's.
+  if (flags.has("regions")) {
+    const long long regions = flags.get_int("regions", 1);
+    if (regions < 1) throw std::invalid_argument("--regions must be >= 1");
     spec.fabric.regions = static_cast<std::uint32_t>(regions);
   }
-  const double jitter = flags.get_double("jitter", -1.0);
-  if (jitter >= 0.0) spec.fabric.max_jitter_s = jitter;
+  if (flags.has("jitter")) {
+    spec.fabric.max_jitter_s = flags.get_double("jitter", 0.0);
+  }
   spec.fabric.validate();
   spec.repartition.interval_s = flags.get_double("repartition_interval", 0.0);
   spec.repartition.budget =
