@@ -5,8 +5,9 @@
 // §V.A) through two paths and emits a machine-readable BENCH_scale.json so
 // the perf trajectory accumulates per PR:
 //
-//   1. placement-only: a pre-generated stream through the micro-batched
-//      front-end (api::BatchPlacementPipeline) and the tx-at-a-time loop
+//   1. placement-only: a pre-generated stream through one PlacementPipeline
+//      in kBatchTxs-transaction span slices, each place_stream() call timed
+//      as one batch
 //   2. full-sim: a (smaller, default 100k) streamed run through the typed
 //      POD event engine and the OmniLedger cross-shard protocol
 //
@@ -17,9 +18,6 @@
 //   --rate=TPS      sim issue rate            (default 4000)
 //   --seed=S        workload seed             (default 1)
 //   --method=M      placement strategy        (default OptChain)
-//   --place_jobs=N  batched front-end workers; 0 = tx-at-a-time only
-//                   (default 1: the batched kernel, single-threaded)
-//   --batch=N       micro-batch length        (default 512)
 //   --out=PATH      JSON output path          (default BENCH_scale.json)
 //   --smoke         CI smoke mode: 20k placement / 4k sim transactions,
 //                   each timed 32 times (once otherwise)
@@ -30,12 +28,6 @@
 // every repetition must reproduce the first one's outcome. A "host" object
 // records the core count, compiler and build flags the rates came from.
 //
-// The placement path runs twice when place_jobs >= 1: once through the
-// micro-batched front-end (the headline "placement" object) and once
-// through the tx-at-a-time loop ("placement_sequential"), asserting the two
-// outcomes are identical — the bench doubles as an end-to-end check of the
-// bit-identity contract at paper scale.
-//
 // Since the batch-pipeline PR the placement stream is materialized before
 // the clock starts and workload generation is timed separately
 // ("workload_gen"): earlier BENCH_scale.json placement numbers include
@@ -45,8 +37,10 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -54,9 +48,9 @@
 
 #include <sys/resource.h>
 
-#include "api/batch_pipeline.hpp"
 #include "api/placement_pipeline.hpp"
 #include "bench_common.hpp"
+#include "common/histogram.hpp"
 #include "sim/simulation.hpp"
 #include "workload/tx_source.hpp"
 
@@ -64,6 +58,10 @@ namespace optchain::bench {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Transactions per timed place_stream() call: the batch that
+/// batch_p50_us / batch_p99_us describe.
+constexpr std::size_t kBatchTxs = 512;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -135,9 +133,6 @@ int run(int argc, char** argv) {
   const double rate = flags.get_double("rate", 4000.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string method = flags.get_string("method", "OptChain");
-  const auto place_jobs =
-      static_cast<std::uint32_t>(flags.get_int("place_jobs", 1));
-  const auto batch = static_cast<std::uint32_t>(flags.get_int("batch", 512));
   const std::string out_path = flags.get_string("out", "BENCH_scale.json");
   // Smoke reps bring each timed region to ~0.2 s in total, so the medians
   // the CI gate compares are not at the mercy of one scheduler hiccup.
@@ -158,8 +153,7 @@ int run(int argc, char** argv) {
       .field("rate_tps", rate)
       .field("seed", seed)
       .field("method", method)
-      .field("place_jobs", place_jobs)
-      .field("batch", batch)
+      .field("batch", kBatchTxs)
       .field("reps", reps)
       .field("smoke", smoke)
       .end_object();
@@ -190,41 +184,44 @@ int run(int argc, char** argv) {
   }
 
   // ---- placement-only path ---------------------------------------------
-  // Headline run: the micro-batched front-end (place_jobs >= 1), else the
-  // tx-at-a-time loop; a fresh pipeline per repetition.
-  api::StreamOutcome batched_outcome;
+  // A fresh pipeline per repetition, fed the stream in kBatchTxs slices.
   {
     std::vector<double> seconds;
     std::vector<double> rates;
     std::vector<double> batch_p50;
     std::vector<double> batch_p99;
+    api::StreamOutcome placed;
     std::uint64_t tan_edges = 0;
+    const std::span<const tx::Transaction> all(stream);
     for (std::uint32_t rep = 0; rep < reps; ++rep) {
-      workload::SpanTxSource source(stream);
       api::PlacementPipeline pipeline =
           api::make_pipeline(method, shards, {}, seed, {}, txs);
-      api::BatchLatencyStats batch_stats;
-      api::StreamOutcome outcome;
+      SampleStats batch_us;
       const auto start = Clock::now();
-      if (place_jobs >= 1) {
-        api::BatchPlacementPipeline batched(pipeline, {place_jobs, batch});
-        outcome = batched.place_stream(source);
-        batch_stats = batched.latency_stats();
-      } else {
-        outcome = pipeline.place_stream(source);
+      for (std::size_t begin = 0; begin < all.size(); begin += kBatchTxs) {
+        const auto batch_start = Clock::now();
+        pipeline.place_stream(
+            all.subspan(begin, std::min(kBatchTxs, all.size() - begin)));
+        batch_us.add(std::chrono::duration<double, std::micro>(
+                         Clock::now() - batch_start)
+                         .count());
       }
       const double elapsed = seconds_since(start);
+      api::StreamOutcome outcome;
+      outcome.total = pipeline.cross_counter().total();
+      outcome.cross = pipeline.cross_counter().cross();
+      outcome.shard_sizes = pipeline.assignment().sizes();
       if (rep == 0) {
-        batched_outcome = outcome;
+        placed = outcome;
         tan_edges = pipeline.dag().num_edges();
-      } else if (outcome.cross != batched_outcome.cross ||
-                 outcome.shard_sizes != batched_outcome.shard_sizes) {
+      } else if (outcome.cross != placed.cross ||
+                 outcome.shard_sizes != placed.shard_sizes) {
         diverged("placement", rep);
       }
       seconds.push_back(elapsed);
       rates.push_back(static_cast<double>(txs) / elapsed);
-      batch_p50.push_back(batch_stats.p50_us);
-      batch_p99.push_back(batch_stats.p99_us);
+      batch_p50.push_back(batch_us.count() == 0 ? 0.0 : batch_us.p50());
+      batch_p99.push_back(batch_us.count() == 0 ? 0.0 : batch_us.p99());
     }
     const RepStats rate = rep_stats(rates);
     const double p50_us = median_of(batch_p50);
@@ -232,10 +229,10 @@ int run(int argc, char** argv) {
 
     std::printf(
         "placement : %llu txs in %.2f s  (%.0f tx/s median of %u, min %.0f, "
-        "cross %.2f%%, jobs=%u batch=%u, batch p50 %.0f us p99 %.0f us)\n",
+        "cross %.2f%%, batch=%zu, batch p50 %.0f us p99 %.0f us)\n",
         static_cast<unsigned long long>(txs), median_of(seconds), rate.median,
-        reps, rate.min, 100.0 * batched_outcome.fraction(), place_jobs, batch,
-        p50_us, p99_us);
+        reps, rate.min, 100.0 * placed.fraction(), kBatchTxs, p50_us,
+        p99_us);
     json.begin_object("placement")
         .field("txs", txs)
         .field("reps", reps)
@@ -243,46 +240,11 @@ int run(int argc, char** argv) {
         .field("tx_per_s", rate.median)
         .field("tx_per_s_min", rate.min)
         .field("tx_per_s_mad", rate.mad)
-        .field("cross_fraction", batched_outcome.fraction())
+        .field("cross_fraction", placed.fraction())
         .field("tan_edges", tan_edges)
-        .field("place_jobs", place_jobs)
-        .field("batch", batch)
+        .field("batch", kBatchTxs)
         .field("batch_p50_us", p50_us)
         .field("batch_p99_us", p99_us)
-        .end_object();
-  }
-
-  // Sequential comparison run: same stream through the tx-at-a-time loop.
-  // Doubles as a paper-scale bit-identity check — any divergence from the
-  // batched outcome is a hard failure, not a logged curiosity.
-  if (place_jobs >= 1) {
-    workload::SpanTxSource source(stream);
-    api::PlacementPipeline pipeline =
-        api::make_pipeline(method, shards, {}, seed, {}, txs);
-    const auto start = Clock::now();
-    const api::StreamOutcome outcome = pipeline.place_stream(source);
-    const double elapsed = seconds_since(start);
-    const double tx_per_s = static_cast<double>(txs) / elapsed;
-
-    std::printf("  sequential: %llu txs in %.2f s  (%.0f tx/s)\n",
-                static_cast<unsigned long long>(txs), elapsed, tx_per_s);
-    if (outcome.total != batched_outcome.total ||
-        outcome.cross != batched_outcome.cross ||
-        outcome.shard_sizes != batched_outcome.shard_sizes) {
-      std::fprintf(stderr,
-                   "bench_scale: batched and sequential placement DIVERGED "
-                   "(total %llu vs %llu, cross %llu vs %llu)\n",
-                   static_cast<unsigned long long>(batched_outcome.total),
-                   static_cast<unsigned long long>(outcome.total),
-                   static_cast<unsigned long long>(batched_outcome.cross),
-                   static_cast<unsigned long long>(outcome.cross));
-      std::exit(1);
-    }
-    json.begin_object("placement_sequential")
-        .field("txs", txs)
-        .field("seconds", elapsed)
-        .field("tx_per_s", tx_per_s)
-        .field("identical_to_batched", true)
         .end_object();
   }
 

@@ -413,96 +413,6 @@ int run_network_bench(const Flags& flags, JsonWriter* json) {
   return 0;
 }
 
-// ----------------------------------------------------------- batch (custom)
-
-/// Engine benchmark, not a paper figure: the tx-at-a-time placement loop vs
-/// the micro-batched front-end (api/batch_pipeline.hpp) on one big stream,
-/// reporting tx/s and speedup per --place_jobs value. Bit-identity of the
-/// outcomes is asserted, not assumed — a mismatch fails the scenario.
-int run_batch_bench(const Flags& flags, JsonWriter* json) {
-  const std::uint64_t seed = seed_of(flags);
-  const std::uint64_t n = sized(flags, 200'000, 5'000);
-  const auto shards = static_cast<std::uint32_t>(flags.get_int("k", 16));
-  const auto batch = static_cast<std::uint32_t>(flags.get_int("batch", 512));
-  const std::string method = flags.get_string("method", "OptChain");
-  const auto jobs_axis =
-      flags.get_int_list("place_jobs", std::vector<std::int64_t>{1, 2, 4});
-
-  std::printf("%llu txs, %u shards, %s, batch=%u; tx-at-a-time baseline "
-              "then --place_jobs axis\n\n",
-              static_cast<unsigned long long>(n), shards, method.c_str(),
-              batch);
-  const auto txs = make_stream(n, seed);
-
-  api::RunSpec spec;
-  spec.method = method;
-  spec.num_shards = shards;
-  spec.seed = seed;
-  spec.place_batch = batch;
-
-  const auto timed_place = [&txs](const api::RunSpec& run_spec) {
-    const auto start = std::chrono::steady_clock::now();
-    api::RunReport report = api::place(run_spec, txs);
-    const std::chrono::duration<double> wall =
-        std::chrono::steady_clock::now() - start;
-    return std::make_pair(std::move(report), wall.count());
-  };
-
-  spec.place_jobs = 0;  // the sequential loop
-  const auto [baseline, baseline_wall] = timed_place(spec);
-  const double baseline_tx_per_s = static_cast<double>(n) / baseline_wall;
-
-  TextTable table({"front-end", "wall(s)", "tx/s", "speedup"});
-  table.add_row({"tx-at-a-time", TextTable::fmt(baseline_wall, 3),
-                 TextTable::fmt(baseline_tx_per_s, 0), "1.00"});
-  if (json != nullptr) {
-    json->field("txs", static_cast<double>(n))
-        .field("shards", static_cast<double>(shards))
-        .field("method", method)
-        .field("batch", static_cast<double>(batch))
-        .begin_object("sequential")
-        .field("wall_s", baseline_wall)
-        .field("tx_per_s", baseline_tx_per_s)
-        .field("speedup", 1.0)
-        .end_object();
-  }
-
-  int exit_code = 0;
-  for (const std::int64_t jobs : jobs_axis) {
-    spec.place_jobs = static_cast<std::uint32_t>(jobs);
-    const auto [report, wall] = timed_place(spec);
-    // The determinism contract, enforced where the numbers are produced.
-    if (report.total != baseline.total || report.cross != baseline.cross ||
-        report.shard_sizes != baseline.shard_sizes) {
-      std::fprintf(stderr,
-                   "batch: place_jobs=%lld DIVERGED from the sequential "
-                   "loop (cross %llu vs %llu)\n",
-                   static_cast<long long>(jobs),
-                   static_cast<unsigned long long>(report.cross),
-                   static_cast<unsigned long long>(baseline.cross));
-      exit_code = 1;
-    }
-    const double tx_per_s = static_cast<double>(n) / wall;
-    const std::string label = "jobs=" + std::to_string(jobs);
-    table.add_row({label, TextTable::fmt(wall, 3),
-                   TextTable::fmt(tx_per_s, 0),
-                   TextTable::fmt(baseline_wall / wall, 2)});
-    if (json != nullptr) {
-      json->begin_object(label)
-          .field("wall_s", wall)
-          .field("tx_per_s", tx_per_s)
-          .field("speedup", baseline_wall / wall)
-          .end_object();
-    }
-  }
-  table.print();
-  maybe_save_csv(flags, "batch_placement", table);
-  std::printf("\noutcomes are bit-identical across front-ends by contract; "
-              "jobs>1 speedup needs real cores (the batched kernel itself "
-              "wins on one)\n");
-  return exit_code;
-}
-
 // --------------------------------------------------- observability (custom)
 
 /// Observability benchmark, not a paper figure: the run-telemetry layer
@@ -1582,16 +1492,6 @@ std::vector<Scenario> build_registry() {
         }},
        shape_repartition,
        nullptr});
-  registry.push_back({"batch",
-                      "micro-batched placement tx/s + speedup vs the "
-                      "tx-at-a-time loop (--place_jobs=1,2,4 --batch= "
-                      "--k= --method=)",
-                      "engineering benchmark (determinism contract of "
-                      "api/batch_pipeline.hpp)",
-                      {},
-                      nullptr,
-                      run_batch_bench,
-                      /*exclude_from_all=*/true});
   registry.push_back({"observability",
                       "run-telemetry layer: trace + Perfetto export, "
                       "tracer overhead budget (--max_overhead= --reps= "

@@ -1,5 +1,6 @@
 #include "api/placement_pipeline.hpp"
 
+#include <stdexcept>
 #include <utility>
 
 #include "api/placer_registry.hpp"
@@ -184,6 +185,10 @@ PlacementPipeline make_pipeline(std::string_view method, std::uint32_t k,
                                 std::uint64_t seed,
                                 std::span<const std::uint32_t> static_parts,
                                 std::uint64_t expected_txs) {
+  if (k == 0) {
+    throw std::invalid_argument(
+        "make_pipeline: num_shards must be >= 1 (got 0)");
+  }
   if (expected_txs == 0) expected_txs = stream.size();
   PlacementPipeline pipeline(
       k, [&](const graph::TanDag& dag) {

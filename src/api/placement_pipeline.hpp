@@ -36,8 +36,6 @@
 
 namespace optchain::api {
 
-class BatchPlacementPipeline;
-
 /// The outcome of placing one transaction.
 struct StepResult {
   /// The shard the transaction was placed into.
@@ -177,10 +175,6 @@ class PlacementPipeline {
   const placement::Placer& placer() const noexcept { return *placer_; }
 
  private:
-  // The micro-batched front-end drives the same dag/assignment/counter state
-  // through its phased commit loop (see api/batch_pipeline.hpp).
-  friend class BatchPlacementPipeline;
-
   StepResult step_impl(const tx::Transaction& transaction,
                        std::optional<placement::ShardId> forced,
                        std::span<const latency::ShardTiming> timings);
@@ -207,7 +201,8 @@ class PlacementPipeline {
 /// batch is NOT materialized — it sizes the capacity caps of the
 /// capacity-capped methods (Greedy, T2S) and pre-reserves the pipeline
 /// (dag/assignment/scorer). When a non-empty `stream` is given its length is
-/// used automatically.
+/// used automatically. Throws std::invalid_argument naming `num_shards` when
+/// `k` is 0.
 PlacementPipeline make_pipeline(std::string_view method, std::uint32_t k,
                                 std::span<const tx::Transaction> stream = {},
                                 std::uint64_t seed = 1,

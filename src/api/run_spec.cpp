@@ -3,59 +3,10 @@
 #include <string>
 #include <utility>
 
-#include "api/batch_pipeline.hpp"
 #include "api/placement_pipeline.hpp"
-#include "obs/phase_profiler.hpp"
 #include "sim/simulation.hpp"
 
 namespace optchain::api {
-namespace {
-
-/// Arms the global obs::PhaseProfiler for one run when the spec asks for it
-/// (RunSpec::profile); finish() disables it and returns the collected rows.
-/// Wall-clock only — a profiled run's results are bit-identical to an
-/// unprofiled one.
-class ProfileScope {
- public:
-  explicit ProfileScope(bool active) : active_(active) {
-    if (active_) {
-      obs::PhaseProfiler& profiler = obs::PhaseProfiler::instance();
-      profiler.reset();
-      profiler.set_enabled(true);
-    }
-  }
-
-  std::vector<ProfileEntry> finish() {
-    if (!active_) return {};
-    obs::PhaseProfiler& profiler = obs::PhaseProfiler::instance();
-    profiler.set_enabled(false);
-    std::vector<ProfileEntry> out;
-    for (const obs::PhaseEntry& entry : profiler.snapshot()) {
-      out.push_back({entry.phase, entry.seconds, entry.calls});
-    }
-    return out;
-  }
-
- private:
-  bool active_;
-};
-
-/// Streams `source` through the front-end the spec selects: the micro-
-/// batched engine when place_jobs ≥ 1, the tx-at-a-time loop otherwise.
-/// Results are bit-identical either way — place_jobs is a speed knob, not a
-/// semantics knob.
-StreamOutcome run_placement(const RunSpec& spec, workload::TxSource& source,
-                            PlacementPipeline& pipeline,
-                            std::span<const std::uint32_t> warm_parts = {}) {
-  if (spec.place_jobs >= 1) {
-    BatchPlacementPipeline batched(pipeline,
-                                   {spec.place_jobs, spec.place_batch});
-    return batched.place_stream(source, warm_parts);
-  }
-  return pipeline.place_stream(source, warm_parts);
-}
-
-}  // namespace
 
 sim::SimConfig RunSpec::sim_config() const {
   sim::SimConfig config;
@@ -131,15 +82,6 @@ TextTable RunReport::to_table() const {
                    TextTable::fmt_int(static_cast<long long>(
                        shard_sizes[s]))});
   }
-  // Wall-clock phase profile (RunSpec::profile runs only) — e.g. the
-  // batch front-end's prepare/score/commit split. Deliberately last: these
-  // rows are non-reproducible timings, not results.
-  for (const ProfileEntry& entry : profile) {
-    table.add_row({"profile " + entry.phase + " (s)",
-                   TextTable::fmt(entry.seconds, 4)});
-    table.add_row({"profile " + entry.phase + " calls",
-                   TextTable::fmt_int(static_cast<long long>(entry.calls))});
-  }
   return table;
 }
 
@@ -148,15 +90,11 @@ std::string RunReport::to_csv() const { return to_table().to_csv(); }
 RunReport place(const RunSpec& spec,
                 std::span<const tx::Transaction> transactions,
                 std::span<const std::uint32_t> warm_parts) {
-  ProfileScope profile(spec.profile);
   PlacementPipeline pipeline = make_pipeline(
       spec.method, spec.num_shards, transactions, spec.seed);
-  workload::SpanTxSource source(transactions);
-  const StreamOutcome outcome =
-      run_placement(spec, source, pipeline, warm_parts);
+  const StreamOutcome outcome = pipeline.place_stream(transactions, warm_parts);
 
   RunReport report;
-  report.profile = profile.finish();
   report.method = std::string(pipeline.method_name());
   report.num_shards = spec.num_shards;
   report.total = outcome.total;
@@ -167,14 +105,12 @@ RunReport place(const RunSpec& spec,
 
 RunReport place(const RunSpec& spec, workload::TxSource& source,
                 std::uint64_t expected_txs) {
-  ProfileScope profile(spec.profile);
   PlacementPipeline pipeline =
       make_pipeline(spec.method, spec.num_shards, {}, spec.seed, {},
                     source.size_hint().value_or(expected_txs));
-  const StreamOutcome outcome = run_placement(spec, source, pipeline);
+  const StreamOutcome outcome = pipeline.place_stream(source);
 
   RunReport report;
-  report.profile = profile.finish();
   report.method = std::string(pipeline.method_name());
   report.num_shards = spec.num_shards;
   report.total = outcome.total;
@@ -185,7 +121,6 @@ RunReport place(const RunSpec& spec, workload::TxSource& source,
 
 RunReport simulate(const RunSpec& spec,
                    std::span<const tx::Transaction> transactions) {
-  ProfileScope profile(spec.profile);
   // The engine validates its config (SimConfig::validate) before the
   // pipeline is built, so a bad shard count is an error, not an abort.
   sim::Simulation simulation(spec.sim_config());
@@ -195,7 +130,6 @@ RunReport simulate(const RunSpec& spec,
   sim::SimResult result = simulation.run(source, pipeline);
 
   RunReport report;
-  report.profile = profile.finish();
   report.method = result.placer_name;
   report.num_shards = spec.num_shards;
   // Simulation runs report the protocol-level cross-TX metric (denominator =
@@ -210,7 +144,6 @@ RunReport simulate(const RunSpec& spec,
 
 RunReport simulate(const RunSpec& spec, workload::TxSource& source,
                    std::uint64_t expected_txs) {
-  ProfileScope profile(spec.profile);
   sim::Simulation simulation(spec.sim_config());  // validates first
   PlacementPipeline pipeline =
       make_pipeline(spec.method, spec.num_shards, {}, spec.seed, {},
@@ -218,7 +151,6 @@ RunReport simulate(const RunSpec& spec, workload::TxSource& source,
   sim::SimResult result = simulation.run(source, pipeline);
 
   RunReport report;
-  report.profile = profile.finish();
   report.method = result.placer_name;
   report.num_shards = spec.num_shards;
   report.total = result.total_txs;

@@ -49,15 +49,6 @@ struct RunSpec {
   /// path unchanged. Start from sim::fabric_preset("wan"), etc.
   sim::FabricConfig fabric;
 
-  /// Scoring workers of the micro-batched placement front-end
-  /// (api/batch_pipeline.hpp). 0 = the classic tx-at-a-time loop; any value
-  /// ≥ 1 routes place() through BatchPlacementPipeline with that many
-  /// workers — bit-identical results (place() only).
-  std::uint32_t place_jobs = 0;
-
-  /// Micro-batch length of the batched front-end (used when place_jobs ≥ 1).
-  std::uint32_t place_batch = 512;
-
   /// Scripted shard membership changes (simulate() only; see
   /// sim/shard_churn.hpp). Empty = the classic fixed shard set.
   sim::ShardChurnPlan churn;
@@ -75,24 +66,8 @@ struct RunSpec {
   /// being hand-wired into a driver binary.
   std::vector<sim::SimObserver*> observers;
 
-  /// Collect wall-clock phase timings (obs::PhaseProfiler) for this run
-  /// into RunReport::profile — the batch front-end's prepare/score/commit
-  /// stages. The CLI's --profile. Wall-clock only: results, goldens and
-  /// traces are untouched.
-  bool profile = false;
-
   /// The full SimConfig this spec describes.
   sim::SimConfig sim_config() const;
-};
-
-/// One wall-clock profile row of a RunReport (RunSpec::profile runs only):
-/// an engine phase, its accumulated seconds, and how many scoped sections
-/// contributed. Mirrors obs::PhaseEntry without making this header depend
-/// on src/obs.
-struct ProfileEntry {
-  std::string phase;        ///< e.g. "place.batch.score"
-  double seconds = 0.0;     ///< accumulated wall-clock seconds
-  std::uint64_t calls = 0;  ///< scoped sections accumulated
 };
 
 /// Unified result of a run: placement statistics always, simulation metrics
@@ -108,9 +83,6 @@ struct RunReport {
   std::vector<std::uint64_t> shard_sizes;  ///< final per-shard sizes
   /// Simulation metrics, present when the run went through the simulator.
   std::optional<sim::SimResult> sim;
-  /// Wall-clock engine-phase timings; non-empty only for RunSpec::profile
-  /// runs whose engines hit instrumented phases. Never part of goldens.
-  std::vector<ProfileEntry> profile;
 
   /// cross / total (0 when nothing was counted).
   double cross_fraction() const noexcept {

@@ -144,8 +144,6 @@ Sweep ScenarioSpec::expand() const {
           spec.fabric = fabric;
           spec.churn = churn;
           spec.repartition = repartition;
-          spec.place_jobs = place_jobs;
-          spec.place_batch = place_batch;
           sweep.cells.push_back(std::move(cell));
         }
         ++cell_id;

@@ -111,13 +111,6 @@ struct ScenarioSpec {
   /// Disabled by default (interval 0); see sim/repartition.hpp and
   /// RunSpec::repartition for the seed-derivation rule.
   sim::RepartitionConfig repartition;
-  /// Scoring workers of the micro-batched placement front-end applied to
-  /// every placement cell (0 = the tx-at-a-time loop; bit-identical either
-  /// way — see RunSpec::place_jobs). Orthogonal to SweepRunner's `jobs`.
-  std::uint32_t place_jobs = 0;
-  /// Micro-batch length of the batched front-end (place_jobs ≥ 1; see
-  /// RunSpec::place_batch).
-  std::uint32_t place_batch = 512;
   /// Link-level network fabric applied to every simulation cell (disabled
   /// by default — cells then use the flat NetworkModel path unchanged; see
   /// RunSpec::fabric). expand() validates the config up front.

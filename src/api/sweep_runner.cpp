@@ -13,7 +13,6 @@
 
 #include "common/assert.hpp"
 #include "metis/kway_partitioner.hpp"
-#include "obs/phase_profiler.hpp"
 #include "trace/trace_source.hpp"
 #include "workload/tan_builder.hpp"
 
@@ -42,9 +41,6 @@ struct WarmCache {
 /// generated per cell: at paper scale a shared materialized warm stream per
 /// in-flight key would dwarf the partition's memory).
 RunReport run_cell_cached(const SweepCell& cell, WarmCache* cache) {
-  // Wall-clock cell accounting only (obs::PhaseProfiler) — the cell's
-  // simulated results stay a pure function of its seeds.
-  obs::ScopedPhase timer(obs::Phase::kSweepCell);
   // Trace cells never regenerate (or materialize) anything: each one
   // streams its window of the shared imported container straight off disk —
   // the "import once, replay many cells" contract. expand() already

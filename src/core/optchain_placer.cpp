@@ -124,34 +124,4 @@ void OptChainPlacer::notify_placed(const placement::PlacementRequest& request,
   scorer_.commit(request.index, shard);
 }
 
-std::unique_ptr<BatchScorable::Scratch> OptChainPlacer::make_scratch() const {
-  return std::make_unique<BatchScratch>();
-}
-
-void OptChainPlacer::gather(std::span<const tx::TxIndex> parents,
-                            std::span<const double> divisors, std::uint32_t k,
-                            Scratch& scratch,
-                            std::vector<ScoreEntry>& merged) const {
-  scorer_.gather(parents, divisors, k,
-                 static_cast<BatchScratch&>(scratch).scratch, merged);
-}
-
-placement::ShardId OptChainPlacer::choose_gathered(
-    const placement::PlacementRequest& request,
-    std::span<const ScoreEntry> merged,
-    const placement::ShardAssignment& assignment) {
-  // Steps 2-4 with step 1 already done by gather(): normalize by the live
-  // shard sizes, then run the exact choose() selection.
-  scorer_.normalize(merged, assignment, last_scores_);
-  return select(request, merged, assignment);
-}
-
-void OptChainPlacer::commit_gathered(const placement::PlacementRequest& request,
-                                     std::span<const ScoreEntry> merged,
-                                     placement::ShardId shard) {
-  // Steps 1-and-5 storage in one shot: the gathered vector is appended with
-  // the α self-mass folded in (no slack-slot round trip).
-  scorer_.adopt_committed(request.index, merged, shard);
-}
-
 }  // namespace optchain::core

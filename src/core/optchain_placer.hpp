@@ -21,22 +21,14 @@
 // l2s_weight = 0 and a Greedy-style capacity cap (ε = 0.1); full OptChain
 // (§V) uses l2s_weight = 0.01 and no cap — temporal balance comes from the
 // L2S term instead.
-//
-// The placer also implements core::BatchScorable: steps 1 (gather) and 2-5
-// (normalize + argmax + α-commit) are exposed separately so the micro-
-// batched front-end can run step 1 concurrently for independent
-// transactions while replaying 2-5 sequentially in arrival order —
-// bit-identical to the tx-at-a-time choose()/notify_placed() path.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <string_view>
 #include <vector>
 
-#include "core/batch_scorer.hpp"
 #include "core/t2s_scorer.hpp"
 #include "graph/dag.hpp"
 #include "latency/l2s_model.hpp"
@@ -56,7 +48,7 @@ struct OptChainConfig {
   double epsilon = 0.1;
 };
 
-class OptChainPlacer final : public placement::Placer, public BatchScorable {
+class OptChainPlacer final : public placement::Placer {
  public:
   /// `dag` must outlive the placer and receive each transaction (via
   /// TanDag::add_node / workload::TanBuilder) *before* choose() is called
@@ -81,31 +73,6 @@ class OptChainPlacer final : public placement::Placer, public BatchScorable {
 
   std::string_view name() const noexcept override { return label_; }
 
-  // ----- BatchScorable ----------------------------------------------------
-
-  std::unique_ptr<Scratch> make_scratch() const override;
-
-  double parent_divisor(tx::TxIndex parent,
-                        std::uint32_t spenders) const override {
-    return scorer_.parent_divisor(parent, spenders);
-  }
-
-  void gather(std::span<const tx::TxIndex> parents,
-              std::span<const double> divisors, std::uint32_t k,
-              Scratch& scratch,
-              std::vector<ScoreEntry>& merged) const override;
-
-  placement::ShardId choose_gathered(
-      const placement::PlacementRequest& request,
-      std::span<const ScoreEntry> merged,
-      const placement::ShardAssignment& assignment) override;
-
-  void commit_gathered(const placement::PlacementRequest& request,
-                       std::span<const ScoreEntry> merged,
-                       placement::ShardId shard) override;
-
-  // ------------------------------------------------------------------------
-
   const T2sScorer& scorer() const noexcept { return scorer_; }
 
   /// Temporal fitness scores computed by the last choose() call (debugging /
@@ -117,10 +84,6 @@ class OptChainPlacer final : public placement::Placer, public BatchScorable {
   std::span<const double> last_scores() const noexcept { return last_scores_; }
 
  private:
-  struct BatchScratch final : Scratch {
-    ScoreScratch scratch;
-  };
-
   /// Steps 3-4 over the scores already in last_scores_: L2S subtraction
   /// (when timing data exists) and the tie-breaking argmax. `support` is the
   /// pre-commit p'(u) the scores were normalized from (sorted by shard);

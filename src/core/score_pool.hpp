@@ -10,16 +10,11 @@
 // allocation per page (65k entries), not per node.
 //
 // One wrinkle: the scorer finalizes the *latest* node after placement by
-// adding α to its own shard's entry, which may need to INSERT an entry. The
-// pool offers two protocols:
-//   append_node + add_to_last  — the tx-at-a-time path: the append reserves
-//     one slack slot so the later α-commit can insert in place; the next
-//     append reclaims the slot eagerly if it went unused (the bump pointer
-//     never counted it, so an uncommitted node — preview/diverted paths —
-//     wastes nothing once the stream moves on).
-//   append_committed           — the batched path: the placement is already
-//     known at append time, so the α entry is folded into the copy and no
-//     slack slot is ever reserved.
+// adding α to its own shard's entry, which may need to INSERT an entry. So
+// append_node reserves one slack slot that the later add_to_last can insert
+// into in place; the next append reclaims the slot eagerly if it went unused
+// (the bump pointer never counted it, so an uncommitted node — preview/
+// diverted paths — wastes nothing once the stream moves on).
 // Slot accounting (used_slots / slot_capacity / wasted_slots / slab_bytes)
 // makes the "net waste: zero" claim checkable by tests instead of folklore:
 // used_slots() == total_entries() always holds, and permanent waste is
@@ -92,42 +87,6 @@ class ScorePool {
                              static_cast<std::uint32_t>(slot - current_page()),
                              len});
     total_entries_ += len;
-  }
-
-  /// Appends the next node's *final* vector in one shot: `entries` (sorted
-  /// by shard id) with `value` merged into `shard` — added to an existing
-  /// entry or inserted in shard order. Equivalent to append_node() followed
-  /// by add_to_last(), but the placement is known up front so no slack slot
-  /// is reserved: the batched commit path never carries reserved-but-unused
-  /// bytes.
-  void append_committed(std::span<const ScoreEntry> entries,
-                        std::uint32_t shard, double value) {
-    const auto len = static_cast<std::uint32_t>(entries.size());
-    bool present = false;
-    for (const ScoreEntry& entry : entries) {
-      if (entry.shard == shard) {
-        present = true;
-        break;
-      }
-    }
-    const std::uint32_t out_len = len + (present ? 0u : 1u);
-    ScoreEntry* slot = allocate_exact(out_len);
-    ScoreEntry* out = slot;
-    bool inserted = present;
-    for (const ScoreEntry& entry : entries) {
-      if (!inserted && entry.shard > shard) {
-        *out++ = {shard, value};
-        inserted = true;
-      }
-      *out++ = entry;
-      if (entry.shard == shard) out[-1].value += value;
-    }
-    if (!inserted) *out++ = {shard, value};
-    OPTCHAIN_ASSERT(out == slot + out_len);
-    handles_.push_back(Handle{static_cast<std::uint32_t>(pages_.size() - 1),
-                             static_cast<std::uint32_t>(slot - current_page()),
-                             out_len});
-    total_entries_ += out_len;
   }
 
   /// Adds `value` to the last appended node's entry for `shard`, inserting
@@ -215,18 +174,6 @@ class ScorePool {
     }
     ScoreEntry* slot = current_page() + page_fill_;
     page_fill_ += count - 1;
-    return slot;
-  }
-
-  /// Bump-allocates exactly `count` entries with no slack slot (the
-  /// append_committed path: the α entry is part of the run).
-  ScoreEntry* allocate_exact(std::uint32_t count) {
-    slack_available_ = false;
-    if (pages_.empty() || page_fill_ + count > page_capacity_back_) {
-      open_page(count);
-    }
-    ScoreEntry* slot = current_page() + page_fill_;
-    page_fill_ += count;
     return slot;
   }
 

@@ -140,13 +140,6 @@ void T2sScorer::commit(tx::TxIndex u, std::uint32_t shard) {
   pool_.add_to_last(u, shard, config_.alpha);
 }
 
-void T2sScorer::adopt_committed(tx::TxIndex u,
-                                std::span<const ScoreEntry> merged,
-                                std::uint32_t shard) {
-  OPTCHAIN_EXPECTS(u == pool_.num_nodes());  // dense arrival order
-  pool_.append_committed(merged, shard, config_.alpha);
-}
-
 std::vector<std::vector<double>> recompute_all_scores_dense(
     const graph::TanDag& dag, const placement::ShardAssignment& assignment,
     const T2sConfig& config,

@@ -19,14 +19,10 @@
 // allocation per 65k entries — and score() runs entirely on reused scratch
 // buffers, so the steady-state scoring loop allocates nothing.
 //
-// The gather/merge step is factored into a standalone kernel, gather(): it
-// reads only *final* pool vectors plus caller-supplied divisors, so the
-// batched front-end (api::BatchPlacementPipeline) can run it concurrently
-// for transactions whose parents are all placed. Two merge strategies share
-// the kernel: the historical sort-merge for small gathers, and a k-slot
-// dense scatter (epoch-tagged bins, no sort over entries) once the gathered
-// entry count exceeds k — per-shard partial sums accumulate in parent push
-// order either way.
+// The gather/merge step has two merge strategies: the historical sort-merge
+// for small gathers, and a k-slot dense scatter (epoch-tagged bins, no sort
+// over entries) once the gathered entry count exceeds k — per-shard partial
+// sums accumulate in parent push order either way.
 //
 // |Nout(v)| — the out-neighborhood size of v — grows as later transactions
 // spend v's outputs. The divisor policy selects the online reading:
@@ -61,18 +57,6 @@ struct T2sConfig {
   double prune_threshold = 1e-7;
 };
 
-/// Reusable scratch state for the gather() kernel. One instance per scoring
-/// thread — the scorer's own instance serves the sequential score() path;
-/// the batched front-end allocates one per worker. Never share an instance
-/// across concurrent gather() calls.
-struct ScoreScratch {
-  std::vector<ScoreEntry> accumulator;    ///< sparse path: gathered entries
-  std::vector<double> bins;               ///< dense path: per-shard sums
-  std::vector<std::uint32_t> bin_epoch;   ///< dense path: bin validity tags
-  std::vector<std::uint32_t> touched;     ///< dense path: shards hit
-  std::uint32_t generation = 0;           ///< current epoch tag
-};
-
 class T2sScorer {
  public:
   /// `declared_outputs(v)` is consulted only under kDeclaredOutputs; it must
@@ -102,42 +86,6 @@ class T2sScorer {
   /// for the most recently scored node (vectors are final after that).
   void commit(tx::TxIndex u, std::uint32_t shard);
 
-  // ----- batch kernel (api::BatchPlacementPipeline) -----------------------
-
-  /// The |Nout(v)| divisor for parent v under this scorer's policy, given
-  /// v's observed spender count (including the arriving spender). Not
-  /// thread-safe under kDeclaredOutputs (the closure may touch shared
-  /// state) — call from the sequential prepare pass only.
-  double parent_divisor(tx::TxIndex v, std::uint32_t spenders) const {
-    return config_.divisor == DivisorPolicy::kCurrentSpenders
-               ? static_cast<double>(spenders)
-               : static_cast<double>(
-                     std::max<std::uint32_t>(1, declared_outputs_(v)));
-  }
-
-  /// The pure gather/merge kernel: fills `merged` with the sorted, pruned
-  /// sparse vector (1 − α) Σ_i p'(parents[i]) / divisors[i] — exactly the
-  /// pre-commit p'(u) that score() would cache. Reads only final pool
-  /// vectors, so concurrent calls with distinct scratch/output buffers are
-  /// safe as long as no append runs in parallel. `k` is the shard count
-  /// (dense-scatter bin width).
-  void gather(std::span<const tx::TxIndex> parents,
-              std::span<const double> divisors, std::uint32_t k,
-              ScoreScratch& scratch, std::vector<ScoreEntry>& merged) const;
-
-  /// Fills `normalized` with p(u)[i] = merged[i] / |S_i| (zero for empty
-  /// shards) — the read-time normalization score() applies.
-  void normalize(std::span<const ScoreEntry> merged,
-                 const placement::ShardAssignment& assignment,
-                 std::vector<double>& normalized) const;
-
-  /// Appends a pre-gathered vector for node u with the α self-mass for
-  /// `shard` folded in — the batched equivalent of score()'s append followed
-  /// by commit(), minus the slack-slot round trip. Nodes must still arrive
-  /// densely (u == number of stored vectors).
-  void adopt_committed(tx::TxIndex u, std::span<const ScoreEntry> merged,
-                       std::uint32_t shard);
-
   /// Pre-sizes the score store for an expected stream length.
   void reserve(std::size_t expected_txs) { pool_.reserve(expected_txs); }
 
@@ -156,10 +104,42 @@ class T2sScorer {
   const ScorePool& pool() const noexcept { return pool_; }
 
  private:
+  /// Reusable scratch state of gather().
+  struct ScoreScratch {
+    std::vector<ScoreEntry> accumulator;    // sparse path: gathered entries
+    std::vector<double> bins;               // dense path: per-shard sums
+    std::vector<std::uint32_t> bin_epoch;   // dense path: bin validity tags
+    std::vector<std::uint32_t> touched;     // dense path: shards hit
+    std::uint32_t generation = 0;           // current epoch tag
+  };
+
+  /// The |Nout(v)| divisor for parent v under this scorer's policy, given
+  /// v's observed spender count (including the arriving spender).
+  double parent_divisor(tx::TxIndex v, std::uint32_t spenders) const {
+    return config_.divisor == DivisorPolicy::kCurrentSpenders
+               ? static_cast<double>(spenders)
+               : static_cast<double>(
+                     std::max<std::uint32_t>(1, declared_outputs_(v)));
+  }
+
+  /// The gather/merge kernel: fills `merged` with the sorted, pruned sparse
+  /// vector (1 − α) Σ_i p'(parents[i]) / divisors[i] — the pre-commit p'(u)
+  /// that score() caches. Reads only final pool vectors. `k` is the shard
+  /// count (dense-scatter bin width).
+  void gather(std::span<const tx::TxIndex> parents,
+              std::span<const double> divisors, std::uint32_t k,
+              ScoreScratch& scratch, std::vector<ScoreEntry>& merged) const;
+
+  /// Fills `normalized` with p(u)[i] = merged[i] / |S_i| (zero for empty
+  /// shards) — the read-time normalization.
+  void normalize(std::span<const ScoreEntry> merged,
+                 const placement::ShardAssignment& assignment,
+                 std::vector<double>& normalized) const;
+
   T2sConfig config_;
   std::function<std::uint32_t(tx::TxIndex)> declared_outputs_;
   ScorePool pool_;                        // p' vectors, indexed by TxIndex
-  ScoreScratch scratch_;                  // scratch for the sequential path
+  ScoreScratch scratch_;                  // scratch for gather()
   std::vector<ScoreEntry> merged_;        // scratch: merged/pruned p'(u)
   std::vector<double> divisors_;          // scratch: per-parent divisors
 };

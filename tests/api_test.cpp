@@ -1,11 +1,16 @@
 // Tests for the optchain::api layer: PlacerRegistry round-trips, the
 // PlacementPipeline's equivalence with the hand-rolled driving loop it
-// replaced, warm-start/preview semantics, and the RunReport CSV output.
+// replaced, warm-start/preview semantics, the agreement of every way of
+// feeding it a stream (whole span, span slices, pull source), and the
+// RunReport CSV output.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -230,6 +235,121 @@ TEST(PlacementPipelineTest, PreviewDoesNotRecordAndStepCommits) {
   }
 }
 
+// ------------------------------------------------ streamed entry points
+
+/// A pipeline and its cumulative outcome after one way of feeding a stream.
+struct Placed {
+  PlacementPipeline pipeline;
+  StreamOutcome outcome;
+};
+
+/// place_stream(span) over `txs` cut into `slice`-transaction spans on one
+/// pipeline, summing the per-call outcomes. A slice as long as the stream
+/// is the whole-stream call.
+Placed place_in_slices(const std::string& method, std::uint32_t k,
+                       std::span<const tx::Transaction> txs, std::size_t slice,
+                       std::span<const std::uint32_t> warm_parts = {}) {
+  Placed placed{make_pipeline(method, k, txs), {}};
+  for (std::size_t begin = 0; begin < txs.size(); begin += slice) {
+    const StreamOutcome part = placed.pipeline.place_stream(
+        txs.subspan(begin, std::min(slice, txs.size() - begin)), warm_parts);
+    placed.outcome.total += part.total;
+    placed.outcome.cross += part.cross;
+    placed.outcome.shard_sizes = part.shard_sizes;
+  }
+  return placed;
+}
+
+/// place_stream(TxSource&) over a SpanTxSource of `txs`.
+Placed place_from_source(const std::string& method, std::uint32_t k,
+                         std::span<const tx::Transaction> txs,
+                         std::span<const std::uint32_t> warm_parts = {}) {
+  Placed placed{make_pipeline(method, k, txs), {}};
+  workload::SpanTxSource source(txs);
+  placed.outcome = placed.pipeline.place_stream(source, warm_parts);
+  return placed;
+}
+
+/// Bitwise comparison: outcome aggregates, every per-transaction decision,
+/// and (for the OptChain family) every stored p' score entry.
+void expect_identical(const Placed& expected, const Placed& actual,
+                      const std::string& label) {
+  SCOPED_TRACE(label);
+  EXPECT_EQ(expected.outcome.total, actual.outcome.total);
+  EXPECT_EQ(expected.outcome.cross, actual.outcome.cross);
+  EXPECT_EQ(expected.outcome.shard_sizes, actual.outcome.shard_sizes);
+  ASSERT_EQ(expected.pipeline.total(), actual.pipeline.total());
+  for (std::uint64_t u = 0; u < expected.pipeline.total(); ++u) {
+    const auto index = static_cast<tx::TxIndex>(u);
+    ASSERT_EQ(expected.pipeline.assignment().shard_of(index),
+              actual.pipeline.assignment().shard_of(index))
+        << "tx " << u << " diverged";
+  }
+  // OptChain and T2S: a reassociated gather or a drifted divisor shows up
+  // in the stored vectors even when the argmax happened to agree.
+  const auto* expected_placer =
+      dynamic_cast<const core::OptChainPlacer*>(&expected.pipeline.placer());
+  const auto* actual_placer =
+      dynamic_cast<const core::OptChainPlacer*>(&actual.pipeline.placer());
+  ASSERT_EQ(expected_placer == nullptr, actual_placer == nullptr);
+  if (expected_placer == nullptr) return;
+  const core::ScorePool& a = expected_placer->scorer().pool();
+  const core::ScorePool& b = actual_placer->scorer().pool();
+  ASSERT_EQ(a.num_nodes(), b.num_nodes());
+  ASSERT_EQ(a.total_entries(), b.total_entries());
+  for (std::uint32_t node = 0; node < a.num_nodes(); ++node) {
+    const auto x = a.vector_of(node);
+    const auto y = b.vector_of(node);
+    ASSERT_EQ(x.size(), y.size()) << "node " << node;
+    for (std::size_t e = 0; e < x.size(); ++e) {
+      ASSERT_EQ(x[e].shard, y[e].shard) << "node " << node << " entry " << e;
+      // Exact bit equality, not EXPECT_DOUBLE_EQ.
+      ASSERT_EQ(x[e].value, y[e].value) << "node " << node << " entry " << e;
+    }
+  }
+}
+
+TEST(PlacementPipelineTest, EveryEntryPointPlacesEveryPlacerIdentically) {
+  // 1200 transactions: two full 512-tx slices and a partial one.
+  const auto txs = stream(1200, 20260808);
+  const std::vector<std::string> methods = PlacerRegistry::instance().names();
+  ASSERT_FALSE(methods.empty());
+  for (const std::string& method : methods) {
+    for (const std::uint32_t k : {3u, 16u, 64u}) {
+      const std::string label = method + " k=" + std::to_string(k);
+      const Placed whole = place_in_slices(method, k, txs, txs.size());
+      for (const std::size_t slice : {512u, 7u, 1u}) {
+        expect_identical(whole, place_in_slices(method, k, txs, slice),
+                         label + " slice=" + std::to_string(slice));
+      }
+      expect_identical(whole, place_from_source(method, k, txs),
+                       label + " SpanTxSource");
+    }
+  }
+}
+
+TEST(PlacementPipelineTest, WarmPrefixAcrossSliceBoundariesPlacesIdentically) {
+  // Table II-style warm start: the first quarter is force-placed round-robin
+  // and ends inside a slice for every slice length below.
+  const auto txs = stream(1200, 20260808);
+  std::vector<std::uint32_t> warm(txs.size() / 4);
+  for (std::size_t i = 0; i < warm.size(); ++i) {
+    warm[i] = static_cast<std::uint32_t>(i % 8);
+  }
+  const Placed whole = place_in_slices("OptChain", 8, txs, txs.size(), warm);
+  for (const std::size_t slice : {128u, 7u}) {
+    expect_identical(whole, place_in_slices("OptChain", 8, txs, slice, warm),
+                     "slice=" + std::to_string(slice));
+  }
+  expect_identical(whole, place_from_source("OptChain", 8, txs, warm),
+                   "SpanTxSource");
+  std::uint64_t counted = 0;
+  for (std::size_t i = warm.size(); i < txs.size(); ++i) {
+    if (!txs[i].is_coinbase()) ++counted;
+  }
+  EXPECT_EQ(whole.outcome.total, counted);
+}
+
 TEST(PlacementPipelineTest, StepReportsProtocolFacts) {
   // Two pinned coinbases then a spender of both: the step must report the
   // cross flag and the exact input-shard set the protocol has to lock.
@@ -317,7 +437,8 @@ TEST(RunReportTest, SimulateFillsSimResult) {
 // Bad operating points fail with std::invalid_argument naming the field,
 // on both simulate() overloads, before anything that would abort on them
 // is built: ShardAssignment on zero shards, WindowCounter on a zero commit
-// window, ShardNode on a zero slowdown.
+// window, ShardNode on a zero slowdown. Both place() overloads reject a zero
+// shard count the same way (make_pipeline checks it).
 TEST(RunReportTest, SimulateRejectsBadConfigsNamingTheField) {
   const auto txs = stream(300);
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -358,6 +479,13 @@ TEST(RunReportTest, SimulateRejectsBadConfigsNamingTheField) {
       simulate(spec, source);
     });
   }
+  RunSpec spec;
+  spec.num_shards = 0;
+  expect_named("num_shards", [&] { place(spec, txs); });
+  expect_named("num_shards", [&] {
+    workload::SpanTxSource source(txs);
+    place(spec, source);
+  });
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 // End-to-end checks of the `optchain` command-line tool, run as a child
-// process: a nonsense simulation setting must exit 1 with a message that
-// names the offending field, not abort and not fall back to a default.
+// process: a nonsense simulation or placement setting must exit 1 with a
+// message that names the offending field, not abort and not fall back to a
+// default.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -68,6 +69,19 @@ TEST(CliSimulateTest, BadSettingsExitOneNamingTheField) {
         << bad.flags << '\n'
         << outcome.stderr_text;
   }
+  std::remove(trace.c_str());
+}
+
+TEST(CliPlaceTest, ZeroShardsExitsOneNamingTheField) {
+  const std::string trace = ::testing::TempDir() + "/cli_test_place.optx";
+  ASSERT_EQ(run_cli("generate --txs=500 --seed=5 --out=" + trace).exit_code,
+            0);
+  const std::string place = "place --in=" + trace + " --shards=";
+  EXPECT_EQ(run_cli(place + "4").exit_code, 0);  // the baseline run is fine
+  const Outcome outcome = run_cli(place + "0");
+  EXPECT_EQ(outcome.exit_code, 1) << outcome.stderr_text;
+  EXPECT_NE(outcome.stderr_text.find("num_shards"), std::string::npos)
+      << outcome.stderr_text;
   std::remove(trace.c_str());
 }
 

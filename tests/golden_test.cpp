@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "api/batch_pipeline.hpp"
 #include "api/placement_pipeline.hpp"
 #include "core/score_pool.hpp"
 #include "core/t2s_scorer.hpp"
@@ -176,35 +175,6 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.method);
     });
 
-// The micro-batched front-end (api/batch_pipeline.hpp) is held to the same
-// captured placement bits at an adversarial jobs/batch combination: 4
-// scoring workers on a 64-tx micro-batch, so the 3000-tx golden stream
-// crosses dozens of batch barriers and every chained/independent split. The
-// exhaustive batch-vs-sequential grid lives in tests/batch_pipeline_test.cpp;
-// this pins the batched path to the pre-refactor golden bits specifically.
-class BatchPlaceGoldenTest : public ::testing::TestWithParam<PlaceGolden> {};
-
-TEST_P(BatchPlaceGoldenTest, BatchedFrontEndReproducesTheGoldenBits) {
-  const PlaceGolden& golden = GetParam();
-  const auto txs = golden_stream();
-  api::PlacementPipeline pipeline = api::make_pipeline(golden.method, 16, txs);
-  api::BatchPlacementPipeline batched(pipeline,
-                                      {/*jobs=*/4, /*batch_txs=*/64});
-  workload::SpanTxSource source(txs);
-  const api::StreamOutcome outcome = batched.place_stream(source);
-  EXPECT_EQ(outcome.total, golden.total);
-  EXPECT_EQ(outcome.cross, golden.cross);
-  for (std::size_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(outcome.shard_sizes[s], golden.sizes0123[s]) << "shard " << s;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Grid, BatchPlaceGoldenTest, ::testing::ValuesIn(kPlaceGoldens),
-    [](const ::testing::TestParamInfo<PlaceGolden>& info) {
-      return std::string(info.param.method);
-    });
-
 // ------------------------------------------- pooled score store vs dense
 
 // The ScorePool must reproduce the dense from-scratch recomputation exactly,
@@ -306,50 +276,6 @@ TEST(ScorePoolTest, PagingAndSlackSlots) {
   EXPECT_EQ(pool.slot_capacity(), 15u);
   EXPECT_EQ(pool.wasted_slots(), 2u);
   EXPECT_EQ(pool.slab_bytes(), 15u * sizeof(core::ScoreEntry));
-}
-
-// append_committed (the batched commit path) must produce bit-identical
-// vectors to append_node + add_to_last (the tx-at-a-time path) while never
-// reserving a slack slot.
-TEST(ScorePoolTest, AppendCommittedMatchesAppendPlusCommit) {
-  const core::ScoreEntry entries[] = {{0, 0.1}, {4, 0.2}, {9, 0.3}};
-  // Shards hitting existing entries (0, 4, 9) and forcing front / middle /
-  // back insertions (2, 11, and 0-before-anything is covered by node 0).
-  const std::uint32_t shards[] = {0, 2, 4, 9, 11};
-  constexpr double kAlpha = 0.5;
-
-  core::ScorePool incremental(/*page_entries=*/4);
-  core::ScorePool committed(/*page_entries=*/4);
-  for (std::size_t i = 0; i < sizeof(shards) / sizeof(shards[0]); ++i) {
-    incremental.append_node(entries);
-    incremental.add_to_last(static_cast<std::uint32_t>(i), shards[i], kAlpha);
-    committed.append_committed(entries, shards[i], kAlpha);
-  }
-
-  ASSERT_EQ(incremental.num_nodes(), committed.num_nodes());
-  ASSERT_EQ(incremental.total_entries(), committed.total_entries());
-  for (std::uint32_t node = 0; node < committed.num_nodes(); ++node) {
-    const auto a = incremental.vector_of(node);
-    const auto b = committed.vector_of(node);
-    ASSERT_EQ(a.size(), b.size()) << "node " << node;
-    for (std::size_t e = 0; e < a.size(); ++e) {
-      EXPECT_EQ(a[e].shard, b[e].shard) << "node " << node;
-      // Bitwise: x += α and x + α are the same operation on the same
-      // operands.
-      EXPECT_EQ(a[e].value, b[e].value) << "node " << node;
-    }
-  }
-
-  // The committed pool carries no slack: every slot it ever allocated is a
-  // live entry or a page-rollover tail gap. Runs are 3 or 4 entries on
-  // 4-entry pages, so: p1 {3 of 4}, p2 {4 of 4}, p3 {3 of 4}, p4 {3 of 4},
-  // p5 {4 of 4} = 17 used / 20 allocated / 3 wasted.
-  EXPECT_EQ(committed.used_slots(), committed.total_entries());
-  EXPECT_EQ(committed.total_entries(), 17u);
-  EXPECT_EQ(committed.num_pages(), 5u);
-  EXPECT_EQ(committed.slot_capacity(), 20u);
-  EXPECT_EQ(committed.wasted_slots(), 3u);
-  EXPECT_EQ(committed.slab_bytes(), 20u * sizeof(core::ScoreEntry));
 }
 
 }  // namespace

@@ -2,9 +2,7 @@
 // container (chunk round-trip, corruption rejection), the Chrome/Perfetto
 // export golden, span nesting over a real simulated run, MetricsRegistry
 // snapshot math (counters/gauges/histograms, JSON + Prometheus exposition),
-// histogram merge/p999 equivalence with the sorted-vector path, and the
-// PhaseProfiler enable/disable contract and its rows on a profiled batched
-// placement run (which starts a scoring thread).
+// and histogram merge/p999 equivalence with the sorted-vector path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,7 +25,6 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/otrace_format.hpp"
 #include "obs/otrace_reader.hpp"
-#include "obs/phase_profiler.hpp"
 #include "obs/run_tracer.hpp"
 #include "txmodel/serialization.hpp"
 #include "workload/bitcoin_like_generator.hpp"
@@ -533,71 +530,6 @@ TEST(IntHistogramTest, MergeAddsCounts) {
   EXPECT_EQ(a.count_of(2), 3u);
   EXPECT_EQ(a.count_of(5), 4u);
   EXPECT_EQ(a.max_value(), 5u);
-}
-
-// ---------------------------------------------------------- PhaseProfiler
-
-TEST(PhaseProfilerTest, ScopedPhasesAccumulateOnlyWhenEnabled) {
-  obs::PhaseProfiler& profiler = obs::PhaseProfiler::instance();
-  profiler.reset();
-  profiler.set_enabled(false);
-  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
-  EXPECT_TRUE(profiler.snapshot().empty());
-
-  profiler.set_enabled(true);
-  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
-  { obs::ScopedPhase timer(obs::Phase::kBatchPrepare); }
-  { obs::ScopedPhase timer(obs::Phase::kSweepCell); }
-  profiler.set_enabled(false);
-
-  const std::vector<obs::PhaseEntry> snapshot = profiler.snapshot();
-  ASSERT_EQ(snapshot.size(), 2u);  // enum order, empty slots skipped
-  EXPECT_EQ(snapshot[0].phase, "place.batch.prepare");
-  EXPECT_EQ(snapshot[0].calls, 2u);
-  EXPECT_GE(snapshot[0].seconds, 0.0);
-  EXPECT_EQ(snapshot[1].phase, "sweep.cell");
-  EXPECT_EQ(snapshot[1].calls, 1u);
-
-  profiler.reset();
-  EXPECT_TRUE(profiler.snapshot().empty());
-}
-
-TEST(PhaseProfilerTest, ProfiledPlacementReportsBatchPhases) {
-  workload::BitcoinLikeGenerator generator({}, 5);
-  const std::vector<tx::Transaction> txs = generator.generate(2000);
-  api::RunSpec spec;
-  spec.method = "OptChain";
-  spec.num_shards = 4;
-  spec.place_jobs = 2;  // one helper thread shares the score phase
-  spec.place_batch = 64;
-  spec.profile = true;
-  const api::RunReport report = api::place(spec, txs);
-  // The batched front-end ran, so its three stages show up in the profile,
-  // in enum order.
-  std::vector<std::string> phases;
-  for (const api::ProfileEntry& entry : report.profile) {
-    phases.push_back(entry.phase);
-    EXPECT_GT(entry.calls, 0u);
-    EXPECT_GE(entry.seconds, 0.0);
-  }
-  EXPECT_EQ(phases,
-            (std::vector<std::string>{"place.batch.prepare",
-                                      "place.batch.score",
-                                      "place.batch.commit"}));
-  // A profiled run is bit-identical to a plain one.
-  api::RunSpec plain = spec;
-  plain.profile = false;
-  const api::RunReport baseline = api::place(plain, txs);
-  EXPECT_TRUE(baseline.profile.empty());
-  EXPECT_EQ(report.total, baseline.total);
-  EXPECT_EQ(report.cross, baseline.cross);
-  EXPECT_EQ(report.shard_sizes, baseline.shard_sizes);
-  // And the profile rows render at the end of the report table.
-  const std::string csv = report.to_csv();
-  for (const std::string& phase : phases) {
-    EXPECT_NE(csv.find("profile " + phase + " (s)"), std::string::npos);
-    EXPECT_NE(csv.find("profile " + phase + " calls"), std::string::npos);
-  }
 }
 
 }  // namespace

@@ -15,8 +15,7 @@
 //   --json=PATH       machine-readable results, one object per scenario
 //   --csv_dir=DIR     also save the figure tables as CSV
 //   --seed=S --replicas=R --txs=N --issue_seconds=T
-//   plus per-scenario axis overrides (--rates=, --shards=, --rate=, --k=,
-//   and the `batch` scenario's --place_jobs=1,2,4 worker-thread axis)
+//   plus per-scenario axis overrides (--rates=, --shards=, --rate=, --k=)
 #include <cstdio>
 #include <exception>
 #include <string>

@@ -16,8 +16,7 @@
 //                      [--jitter=SECS]
 //                      [--repartition_interval=SECS] [--repartition_budget=N]
 //                      [--repartition_window=N] [--csv=out.csv]
-//                      [--place_jobs=N] [--batch=N]
-//                      [--profile] [--trace_out=run.otrace]
+//                      [--trace_out=run.otrace]
 //
 // Streams are OPTX trace containers (src/trace): `generate` writes the
 // chunk-indexed v2 format, and every consumer replays through the streaming
@@ -43,12 +42,9 @@
 // --repartition_window= snapshots only the most recent N transactions of
 // the TaN (0 = the whole graph).
 //
-// --place_jobs=N / --batch=N select the micro-batched placement front-end, a
-// bit-identical speed knob. --profile adds wall-clock phase rows
-// (obs::PhaseProfiler: the batch front-end's prepare/score/commit) to the
-// report. --trace_out=PATH attaches an obs::RunTracer and writes the run's
-// full lifecycle telemetry as an .otrace container (per-tx issue→commit
-// spans, blocks, queue/link samples, churn/re-partition events) — export to
+// --trace_out=PATH attaches an obs::RunTracer and writes the run's full
+// lifecycle telemetry as an .otrace container (per-tx issue→commit spans,
+// blocks, queue/link samples, churn/re-partition events) — export to
 // Perfetto with `optchain-obs export`; the bytes are a pure function of the
 // seeds (determinism rule 9).
 //
@@ -163,14 +159,6 @@ api::RunSpec spec_from_flags(const Flags& flags) {
   spec.repartition.window =
       static_cast<std::uint64_t>(flags.get_int("repartition_window", 0));
   spec.repartition.validate();
-  // Execution knobs of the batched placement front-end: speed knobs, never
-  // semantics knobs — results are bit-identical at any value.
-  spec.place_jobs = static_cast<std::uint32_t>(flags.get_int("place_jobs", 0));
-  spec.place_batch = static_cast<std::uint32_t>(
-      flags.get_int("batch", spec.place_batch));
-  // Wall-clock engine-phase profiling (obs::PhaseProfiler) — extra `profile`
-  // rows in the report, results untouched.
-  spec.profile = flags.get_bool("profile", false);
   return spec;
 }
 

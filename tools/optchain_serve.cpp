@@ -1,20 +1,20 @@
 // optchain-serve — placement-as-a-service throughput daemon.
 //
-// Replays an imported OPTX trace (PR 5's optchain-trace containers) through
-// the micro-batched placement front-end (api::BatchPlacementPipeline) in a
-// loop, and reports the sustained placement rate plus per-batch latency
-// percentiles — the ROADMAP's "placement as a service" north-star measured
+// Replays an imported OPTX trace (optchain-trace containers) through the
+// placement pipeline in a loop, and reports the sustained placement rate
+// plus per-batch latency percentiles — "placement as a service" measured
 // end to end instead of extrapolated from a one-shot bench.
 //
-//   optchain-serve --trace=snapshot.optx --duration=5s \
-//       --place_jobs=4 --batch=512 --out=BENCH_serve.json
+//   optchain-serve --trace=snapshot.optx --duration=5s --out=BENCH_serve.json
 //
 // Each pass decodes nothing: the trace window is materialized once at
 // startup (use --stream to re-decode from disk every pass instead, which
-// measures the container read path too), then every pass builds a fresh
-// pipeline and streams the same window through it. --duration=0 serves
-// until SIGINT/SIGTERM; any duration also stops early on a signal, then
-// still writes the JSON report for whatever completed.
+// measures the container read path too, one kBatchTxs buffer at a time),
+// then every pass builds a fresh pipeline and places the window through it
+// one kBatchTxs-transaction batch per place_stream() call; each call is one
+// batch-latency sample. --duration=0 serves until SIGINT/SIGTERM; any
+// duration also stops early on a signal, then still writes the JSON report
+// for whatever completed.
 //
 // Flags:
 //   --trace=PATH       OPTX container to replay (required)
@@ -22,8 +22,6 @@
 //   --method=NAME      PlacerRegistry strategy (default OptChain)
 //   --shards=K         shard count (default 16)
 //   --seed=S           method seed (default 1)
-//   --place_jobs=N     scoring workers per pass (default 1)
-//   --batch=N          transactions per micro-batch (default 512)
 //   --duration=SECS    serving time budget; 0 = until signal (default 5)
 //   --stream           re-decode the trace from disk on every pass
 //   --snapshot=SECS    emit a Prometheus-text metrics snapshot every SECS
@@ -33,23 +31,28 @@
 // All counters, rates and latency percentiles flow through one
 // obs::MetricsRegistry — the final BENCH_serve.json and the periodic
 // --snapshot exposition read the same instruments.
+#include <algorithm>
 #include <chrono>
 #include <csignal>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <exception>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "api/batch_pipeline.hpp"
 #include "api/placement_pipeline.hpp"
 #include "common/flags.hpp"
 #include "common/json_writer.hpp"
 #include "obs/metrics_registry.hpp"
 #include "trace/trace_source.hpp"
-#include "workload/tx_source.hpp"
 
 namespace {
+
+/// Transactions per timed place_stream() call — the batch the latency
+/// percentiles describe (perfbench's placement workloads use the same size).
+constexpr std::size_t kBatchTxs = 512;
 
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -65,9 +68,8 @@ int main(int argc, char** argv) {
     if (trace_path.empty()) {
       std::fprintf(stderr,
                    "usage: optchain-serve --trace=PATH [--duration=SECS] "
-                   "[--place_jobs=N] [--batch=N] [--method=NAME] "
-                   "[--shards=K] [--begin=N] [--end=N] [--stream] "
-                   "[--snapshot=SECS] [--out=PATH]\n");
+                   "[--method=NAME] [--shards=K] [--begin=N] [--end=N] "
+                   "[--stream] [--snapshot=SECS] [--out=PATH]\n");
       return 2;
     }
     const auto begin = static_cast<std::uint64_t>(flags.get_int("begin", 0));
@@ -78,11 +80,6 @@ int main(int argc, char** argv) {
     const auto shards =
         static_cast<std::uint32_t>(flags.get_int("shards", 16));
     const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-    optchain::api::BatchConfig batch_config;
-    batch_config.jobs =
-        static_cast<std::uint32_t>(flags.get_int("place_jobs", 1));
-    batch_config.batch_txs =
-        static_cast<std::uint32_t>(flags.get_int("batch", 512));
     const double duration_s = flags.get_double("duration", 5.0);
     const bool stream_from_disk = flags.get_bool("stream", false);
     const double snapshot_s = flags.get_double("snapshot", 0.0);
@@ -110,10 +107,10 @@ int main(int argc, char** argv) {
       return 2;
     }
     std::printf(
-        "optchain-serve: %llu txs/window, method=%s shards=%u "
-        "place_jobs=%u batch=%u duration=%s\n",
+        "optchain-serve: %llu txs/window, method=%s shards=%u batch=%zu "
+        "duration=%s\n",
         static_cast<unsigned long long>(window_txs), method.c_str(), shards,
-        batch_config.jobs, batch_config.batch_txs,
+        kBatchTxs,
         duration_s <= 0.0 ? "until-signal"
                           : (std::to_string(duration_s) + "s").c_str());
 
@@ -133,6 +130,8 @@ int main(int argc, char** argv) {
     registry.gauge("serve.window_txs")
         .set(static_cast<double>(window_txs));
 
+    std::vector<optchain::tx::Transaction> buffer(
+        stream_from_disk ? kBatchTxs : 0);  // --stream's decode buffer
     double placement_seconds = 0.0;
     const clock::time_point serve_start = clock::now();
     clock::time_point last_snapshot = serve_start;
@@ -144,24 +143,38 @@ int main(int argc, char** argv) {
       }
       optchain::api::PlacementPipeline pipeline = optchain::api::make_pipeline(
           method, shards, window, seed, {}, window_txs);
-      optchain::api::BatchPlacementPipeline batched(pipeline, batch_config);
+      const auto timed_place =
+          [&](std::span<const optchain::tx::Transaction> batch) {
+            const clock::time_point start = clock::now();
+            pipeline.place_stream(batch);
+            batch_latency.observe(
+                std::chrono::duration<double, std::micro>(clock::now() -
+                                                          start)
+                    .count());
+          };
       const clock::time_point pass_start = clock::now();
-      optchain::api::StreamOutcome outcome;
       if (stream_from_disk) {
         if (passes_counter.value() > 0) trace_source.rewind();
-        outcome = batched.place_stream(trace_source);
+        std::size_t count = kBatchTxs;
+        while (count == kBatchTxs) {
+          count = 0;
+          while (count < kBatchTxs && trace_source.next(buffer[count])) {
+            ++count;
+          }
+          if (count > 0) timed_place(std::span(buffer).first(count));
+        }
       } else {
-        optchain::workload::SpanTxSource source(window);
-        outcome = batched.place_stream(source);
+        const std::span<const optchain::tx::Transaction> all(window);
+        for (std::size_t begin = 0; begin < all.size(); begin += kBatchTxs) {
+          timed_place(all.subspan(
+              begin, std::min(kBatchTxs, all.size() - begin)));
+        }
       }
       const double pass_s =
           std::chrono::duration<double>(clock::now() - pass_start).count();
       placement_seconds += pass_s;
       txs_counter.inc(window_txs);
-      cross_gauge.set(outcome.fraction());
-      for (const double us : batched.batch_latencies_us()) {
-        batch_latency.observe(us);
-      }
+      cross_gauge.set(pipeline.cross_counter().fraction());
       passes_counter.inc();
       sustained_gauge.set(static_cast<double>(txs_counter.value()) /
                           placement_seconds);
@@ -199,8 +212,7 @@ int main(int argc, char** argv) {
         .field("trace", trace_path)
         .field("method", method)
         .field("shards", shards)
-        .field("place_jobs", batch_config.jobs)
-        .field("batch", batch_config.batch_txs)
+        .field("batch", kBatchTxs)
         .field("stream_from_disk", stream_from_disk)
         .field("window_txs", window_txs)
         .field("passes", passes)
