@@ -1,7 +1,7 @@
 #include "common/flags.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-#include <string_view>
 
 namespace optchain {
 
@@ -34,6 +34,18 @@ Flags::Flags(int argc, const char* const* argv) {
     } else {
       values_[std::string(body.substr(0, eq))] =
           std::string(body.substr(eq + 1));
+    }
+  }
+}
+
+void Flags::reject_unknown(
+    std::initializer_list<std::span<const std::string_view>> known) const {
+  for (const auto& [name, value] : values_) {
+    const auto in_list = [&name](std::span<const std::string_view> names) {
+      return std::find(names.begin(), names.end(), name) != names.end();
+    };
+    if (std::none_of(known.begin(), known.end(), in_list)) {
+      throw std::invalid_argument("unknown flag --" + name);
     }
   }
 }
@@ -72,15 +84,8 @@ std::vector<std::int64_t> Flags::get_int_list(
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   std::vector<std::int64_t> out;
-  const std::string& text = it->second;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!item.empty()) out.push_back(std::stoll(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  for (const std::string& item : split_csv(it->second)) {
+    out.push_back(std::stoll(item));
   }
   return out;
 }
@@ -90,15 +95,8 @@ std::vector<double> Flags::get_double_list(
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   std::vector<double> out;
-  const std::string& text = it->second;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    const std::size_t comma = text.find(',', start);
-    const std::string item =
-        text.substr(start, comma == std::string::npos ? comma : comma - start);
-    if (!item.empty()) out.push_back(std::stod(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
+  for (const std::string& item : split_csv(it->second)) {
+    out.push_back(std::stod(item));
   }
   return out;
 }

@@ -1,11 +1,14 @@
 // Minimal `--name=value` command-line flag parsing for the bench/example
-// binaries. Unknown flags starting with "--benchmark" are ignored so the
-// same argv can be shared with google-benchmark binaries.
+// binaries. Flags starting with "--benchmark" are ignored so the same argv
+// can be shared with google-benchmark binaries.
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <map>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace optchain {
@@ -20,6 +23,14 @@ class Flags {
   /// Parses argv. Throws std::invalid_argument on a malformed flag
   /// (non "--name[=value]" token).
   Flags(int argc, const char* const* argv);
+
+  /// Throws std::invalid_argument("unknown flag --<name>") for a flag given
+  /// whose name is in none of the `known` lists. A tool calls it once per
+  /// command with the names that command reads, so a mistyped flag fails
+  /// instead of leaving a default in place. (--benchmark* flags are never
+  /// stored, so they never count.)
+  void reject_unknown(
+      std::initializer_list<std::span<const std::string_view>> known) const;
 
   bool has(const std::string& name) const noexcept;
 

@@ -9,7 +9,7 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,39 +60,41 @@ struct TraceSummary {
 /// Streaming decoder over an on-disk .otrace container.
 class OtraceReader {
  public:
-  /// Opens and validates `path` (magic, version, trailer, footer index).
-  /// Throws std::runtime_error on I/O failure or a malformed container.
+  /// Opens and validates `path` (magic, version, trailer, footer index;
+  /// see ChunkReader). Throws std::runtime_error on I/O failure or a
+  /// malformed container.
   explicit OtraceReader(const std::string& path);
 
   /// Total records in the trace (from the footer).
-  std::uint64_t size() const noexcept { return total_; }
+  std::uint64_t size() const noexcept { return container_.size(); }
   /// Chunk count.
-  std::uint64_t num_chunks() const noexcept { return chunks_.size(); }
+  std::uint64_t num_chunks() const noexcept {
+    return container_.chunks().size();
+  }
   /// Nominal records per chunk (from the header).
-  std::uint32_t chunk_capacity() const noexcept { return chunk_capacity_; }
+  std::uint32_t chunk_capacity() const noexcept {
+    return container_.chunk_capacity();
+  }
 
   /// Decodes the next record. Returns false at end of trace. Throws
-  /// std::runtime_error on truncation or a chunk checksum mismatch.
+  /// std::runtime_error on a damaged chunk frame (see ChunkReader::load) or
+  /// a truncated or unknown record.
   bool next(TraceRecord& out);
 
   /// Decodes the remaining records into one aggregate summary.
   TraceSummary summarize();
 
  private:
-  void load_chunk(std::size_t chunk);
-  std::uint64_t read_payload_varint();
-  double read_payload_f64();
+  void decode(TraceRecord& out);
+  std::uint8_t read_u8();
+  std::uint64_t read_varint();
+  double read_f64();
 
-  std::ifstream file_;
-  std::string path_;
-  std::uint32_t chunk_capacity_ = 0;
-  std::uint64_t total_ = 0;
-  std::uint64_t footer_offset_ = 0;  ///< every chunk frame ends before it
-  std::vector<OtraceChunkInfo> chunks_;
-
-  std::vector<std::uint8_t> buffer_;  ///< current chunk's payload
-  std::size_t buffer_offset_ = 0;
-  std::size_t current_chunk_ = SIZE_MAX;
+  ChunkReader container_;
+  std::span<const std::uint8_t> payload_;  ///< the loaded chunk's payload
+  std::size_t cursor_ = 0;
+  std::uint64_t chunk_end_ = 0;  ///< one past the loaded chunk's last record
+  std::size_t next_chunk_ = 0;
   std::uint64_t next_index_ = 0;
 };
 

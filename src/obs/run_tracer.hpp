@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -38,21 +37,14 @@ struct RunTracerOptions {
 
 /// Streams a run's observer callbacks into a .otrace file. The tracer must
 /// outlive the run (observers are borrowed) and must be finish()ed before
-/// the file is read — the footer index is written on finish().
+/// the file is read — the footer index is written on finish(). An
+/// unfinished tracer finish()es on destruction, swallowing errors — call
+/// finish() explicitly to observe them.
 class RunTracer final : public sim::SimObserver {
  public:
   /// Opens `path` for writing and emits the header. Throws
   /// std::runtime_error on I/O failure or chunk_capacity == 0.
   explicit RunTracer(const std::string& path, RunTracerOptions options = {});
-
-  /// finish()es an unfinished tracer, swallowing errors — call finish()
-  /// explicitly to observe them.
-  ~RunTracer() override;
-
-  /// Not copyable (owns the output stream and the in-flight chunk).
-  RunTracer(const RunTracer&) = delete;
-  /// Not copy-assignable.
-  RunTracer& operator=(const RunTracer&) = delete;
 
   /// Records a transaction-issued span open.
   void on_issue(std::uint32_t tx, double time, bool cross) override;
@@ -80,26 +72,15 @@ class RunTracer final : public sim::SimObserver {
   /// Flushes the tail chunk, writes the footer index and trailer, and
   /// closes the file. Returns the total record count. Idempotent;
   /// recording after finish() throws.
-  std::uint64_t finish();
+  std::uint64_t finish() { return writer_.finish(); }
 
   /// Records written so far.
-  std::uint64_t total() const noexcept { return total_; }
+  std::uint64_t total() const noexcept { return writer_.total(); }
 
  private:
-  void begin_record(TraceRecordType type);
-  void end_record();
-  void write_f64(double value);
-  void flush_chunk();
+  std::vector<std::uint8_t>& begin_record(TraceRecordType type);
 
-  std::ofstream file_;
-  std::string path_;
-  std::uint32_t chunk_capacity_;
-  std::vector<std::uint8_t> payload_;       ///< in-flight chunk payload
-  std::uint32_t chunk_records_ = 0;         ///< records in payload_
-  std::uint64_t total_ = 0;                 ///< records written overall
-  std::vector<OtraceChunkInfo> chunks_;     ///< footer index under way
-  std::uint64_t offset_ = 0;                ///< bytes written so far
-  bool finished_ = false;
+  ChunkWriter writer_;
 };
 
 }  // namespace optchain::obs

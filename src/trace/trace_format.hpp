@@ -6,32 +6,26 @@
 // footer index, so any window of a multi-million-transaction trace opens in
 // O(1) seeks without touching the prefix.
 //
-// Layout (all varints are LEB128, as in v1):
+// The framing — header, checksummed chunk frames, footer index, 12-byte
+// trailer — is the shared chunk container (common/chunk_container.hpp),
+// which .otrace run traces use too. What is OPTX's own:
 //
-//   header   "OPTX" magic, varint version = 2, varint chunk_capacity
-//   chunk*   varint count            transactions in this chunk (>= 1)
-//            varint payload_bytes
-//            payload                 `count` transactions, the v1 per-tx
-//                                    body codec (tx::encode_transaction);
-//                                    indices are implied dense from the
-//                                    chunk's first_index, parent references
-//                                    are absolute trace indices
-//            varint checksum         FNV-1a 64 over the payload bytes
-//   footer   varint n_chunks, then per chunk
-//            { varint file_offset, varint first_index, varint count },
-//            varint total_transactions
-//   trailer  u64 LE footer file offset, "XTPO" magic   (12 bytes, fixed)
+//   magic    "OPTX" (shared with flat v1), trailer magic "XTPO"
+//   version  2 (a version-1 file is the flat v1 stream)
+//   record   one transaction in the v1 per-tx body codec
+//            (tx::encode_transaction); indices are implied dense from the
+//            chunk's first_index, parent references are absolute trace
+//            indices
 //
-// A reader locates the footer through the fixed-size trailer, binary-
-// searches the chunk index for any transaction index, and verifies each
-// chunk's checksum as it loads — corruption anywhere in a chunk is caught
-// before a single damaged transaction escapes, and corruption outside the
-// replayed window is never even read.
+// A reader binary-searches the chunk index for any transaction index and
+// verifies each chunk's checksum as it loads — corruption anywhere in a
+// chunk is caught before a single damaged transaction escapes, and
+// corruption outside the replayed window is never even read.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <span>
+
+#include "common/chunk_container.hpp"
 
 namespace optchain::trace {
 
@@ -41,31 +35,12 @@ inline constexpr std::uint8_t kMagic[4] = {'O', 'P', 'T', 'X'};
 inline constexpr std::uint8_t kTrailerMagic[4] = {'X', 'T', 'P', 'O'};
 /// The chunk-indexed container version this module writes.
 inline constexpr std::uint32_t kTraceVersion = 2;
-/// Trailer size: u64 LE footer offset + 4-byte trailer magic.
-inline constexpr std::size_t kTrailerBytes = 12;
 /// Default transactions per chunk: large enough that the footer index is
 /// negligible (~24 B per 64k transactions), small enough that a windowed
 /// seek decodes at most one unwanted chunk prefix.
 inline constexpr std::uint32_t kDefaultChunkCapacity = 65536;
-
-/// One footer-index entry: where a chunk lives and what it holds. O(1) seek
-/// to any transaction = binary search on first_index + one file seek.
-struct ChunkInfo {
-  std::uint64_t offset = 0;       ///< file offset of the chunk frame
-  std::uint64_t first_index = 0;  ///< absolute index of the chunk's first tx
-  std::uint64_t count = 0;        ///< transactions in the chunk
-};
-
-/// FNV-1a 64 over `data` — the per-chunk payload checksum. Dependency-free
-/// and byte-order independent; this is an integrity check against torn
-/// writes and bit rot, not a cryptographic commitment.
-inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept {
-  std::uint64_t hash = 14695981039346656037ull;
-  for (const std::uint8_t byte : data) {
-    hash ^= byte;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
+/// OPTX as a chunked format: v2 framed, v1 flat under the same magic.
+inline constexpr ChunkFormat kTraceFormat{kMagic, kTrailerMagic,
+                                          kTraceVersion, /*flat_version=*/1};
 
 }  // namespace optchain::trace

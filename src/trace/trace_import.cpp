@@ -1,8 +1,8 @@
 #include "trace/trace_import.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "trace/trace_format.hpp"
@@ -96,12 +96,22 @@ bool CsvFileTxSource::next(tx::Transaction& out) {
                   if (tx >= index) {
                     fail_csv(path_, line_no_, "forward/self input reference");
                   }
+                  if (vout > std::numeric_limits<std::uint32_t>::max()) {
+                    fail_csv(path_, line_no_, "vout out of range (>= 2^32)");
+                  }
                   out.inputs.push_back({static_cast<tx::TxIndex>(tx),
                                         static_cast<std::uint32_t>(vout)});
                 },
                 path_, line_no_);
     parse_pairs(line_.data() + comma2 + 1, line_.data() + line_.size(),
                 [&](std::uint64_t value, std::uint64_t owner) {
+                  if (value > static_cast<std::uint64_t>(
+                                  std::numeric_limits<tx::Amount>::max())) {
+                    fail_csv(path_, line_no_, "value out of range (>= 2^63)");
+                  }
+                  if (owner > std::numeric_limits<tx::WalletId>::max()) {
+                    fail_csv(path_, line_no_, "owner out of range (>= 2^32)");
+                  }
                   out.outputs.push_back(
                       {static_cast<tx::Amount>(value),
                        static_cast<tx::WalletId>(owner)});
@@ -122,8 +132,7 @@ ImportResult import_source(workload::TxSource& source,
   while (source.next(transaction)) writer.append(transaction);
   ImportResult result;
   result.txs = writer.finish();
-  result.chunks = (result.txs + options.chunk_capacity - 1) /
-                  std::max<std::uint64_t>(1, options.chunk_capacity);
+  result.chunks = writer.num_chunks();
   return result;
 }
 

@@ -10,8 +10,10 @@
 //     Bitcoin-data format:
 //         <index>,<inputs>,<outputs>
 //     where <inputs> is space-separated "tx:vout" pairs (empty = coinbase)
-//     and <outputs> is space-separated "value:owner" pairs. Lines starting
-//     with '#' and a leading "index,inputs,outputs" header are skipped.
+//     and <outputs> is space-separated "value:owner" pairs. A vout or owner
+//     must be below 2^32 and a value below 2^63 (the ranges the OPTX codec
+//     stores). Lines starting with '#' and a leading "index,inputs,outputs"
+//     header are skipped.
 //     Example:
 //         0,,5000000000:0
 //         1,0:0,2500000000:1 2499990000:0
@@ -59,7 +61,9 @@ ImportResult import_file(const std::string& in_path,
 
 /// Streams a CSV inputs/outputs dump (see the file comment for the format)
 /// as transactions. Throws std::runtime_error on I/O failure or malformed
-/// input (non-dense indices, forward references, negative values).
+/// input (non-dense indices, forward references, a field that is not a
+/// number or lies outside its range: vout and owner below 2^32, value below
+/// 2^63).
 class CsvFileTxSource final : public workload::TxSource {
  public:
   /// Opens `path` (throws std::runtime_error on I/O failure).

@@ -15,7 +15,7 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,32 +29,39 @@ namespace optchain::trace {
 class TraceReader {
  public:
   /// Opens and validates `path` (header, and for v2 the trailer + footer
-  /// index). Throws std::runtime_error on I/O failure, bad magic, an
-  /// unsupported version, a corrupt footer, or a transaction or chunk count
-  /// larger than the file can hold.
+  /// index; see ChunkReader). Throws std::runtime_error on I/O failure, bad
+  /// magic, an unsupported version, a corrupt footer, or a transaction or
+  /// chunk count larger than the file can hold.
   explicit TraceReader(const std::string& path);
 
   /// Container version: 1 (flat) or 2 (chunk-indexed).
-  std::uint32_t version() const noexcept { return version_; }
+  std::uint32_t version() const noexcept { return container_.version(); }
   /// Total transactions in the trace.
   std::uint64_t size() const noexcept { return total_; }
   /// Chunk count (v1: 0 — the flat stream has no frames).
-  std::uint64_t num_chunks() const noexcept { return chunks_.size(); }
+  std::uint64_t num_chunks() const noexcept {
+    return container_.chunks().size();
+  }
   /// The footer chunk index (v1: empty).
-  const std::vector<ChunkInfo>& chunks() const noexcept { return chunks_; }
+  const std::vector<ChunkInfo>& chunks() const noexcept {
+    return container_.chunks();
+  }
   /// Nominal transactions per chunk (v1: 0).
-  std::uint32_t chunk_capacity() const noexcept { return chunk_capacity_; }
+  std::uint32_t chunk_capacity() const noexcept {
+    return container_.chunk_capacity();
+  }
   /// Absolute index the next next() call will yield.
   std::uint64_t position() const noexcept { return next_index_; }
   /// Chunks loaded + checksum-verified so far — the observable cost of a
   /// read pattern (tests pin that windowed seeks skip the prefix).
-  std::uint64_t chunks_loaded() const noexcept { return chunks_loaded_; }
+  std::uint64_t chunks_loaded() const noexcept {
+    return container_.chunks_loaded();
+  }
 
   /// Decodes the next transaction (absolute indices; parent references are
   /// absolute too). Returns false at end of trace. Throws
-  /// std::runtime_error on truncation, a chunk frame that runs past the
-  /// footer, a chunk checksum mismatch, or a transaction the body codec
-  /// rejects (tx::decode_transaction).
+  /// std::runtime_error on a damaged chunk frame (see ChunkReader::load),
+  /// or a transaction the body codec rejects (tx::decode_transaction).
   bool next(tx::Transaction& out);
 
   /// Repositions the cursor so the next next() yields `index` (== size()
@@ -64,25 +71,21 @@ class TraceReader {
   void seek(std::uint64_t index);
 
  private:
-  void load_chunk(std::size_t chunk);
-  std::uint64_t read_varint_stream();
-  void parse_footer(std::uint64_t file_size);
+  bool next_slow(tx::Transaction& out);
+  void decode(tx::Transaction& out);
+  void skip_to(std::uint64_t index);
 
-  std::ifstream file_;
-  std::string path_;
-  std::uint32_t version_ = 0;
-  std::uint32_t chunk_capacity_ = 0;
+  ChunkReader container_;
   std::uint64_t total_ = 0;
-  std::uint64_t footer_offset_ = 0;  ///< v2: chunk frames end here
-  std::vector<ChunkInfo> chunks_;
 
-  // Decode cursor. For v2, buffer_ holds the current chunk's payload; for
-  // v1 it holds the whole body (raw bytes, not Transactions).
-  std::vector<std::uint8_t> buffer_;
-  std::size_t buffer_offset_ = 0;
-  std::size_t current_chunk_ = SIZE_MAX;  ///< v2: chunk in buffer_
+  // Decode cursor over payload_: for v2 the loaded chunk's payload, whose
+  // transactions are [chunk_first_, chunk_first_ + chunk_count_); for v1 the
+  // whole body, with chunk_count_ == 0 so every next() takes next_slow().
+  std::span<const std::uint8_t> payload_;
+  std::size_t cursor_ = 0;
+  std::uint64_t chunk_first_ = 0;
+  std::uint64_t chunk_count_ = 0;
   std::uint64_t next_index_ = 0;
-  std::uint64_t chunks_loaded_ = 0;
   tx::Transaction skip_scratch_;  ///< decode target for seek's skips
 };
 

@@ -1,115 +1,27 @@
 #include "trace/trace_writer.hpp"
 
-#include <stdexcept>
-
 #include "txmodel/serialization.hpp"
 
 namespace optchain::trace {
-namespace {
-
-[[noreturn]] void fail(const std::string& path, const std::string& what) {
-  throw std::runtime_error("trace writer: " + path + ": " + what);
-}
-
-}  // namespace
 
 TraceWriter::TraceWriter(const std::string& path, TraceWriterOptions options)
-    : out_(path, std::ios::binary),
-      path_(path),
-      chunk_capacity_(options.chunk_capacity) {
-  if (chunk_capacity_ == 0) fail(path_, "chunk_capacity must be > 0");
-  if (!out_) fail(path_, "cannot open for writing");
-
-  std::vector<std::uint8_t> header;
-  for (const std::uint8_t byte : kMagic) header.push_back(byte);
-  tx::write_varint(header, kTraceVersion);
-  tx::write_varint(header, chunk_capacity_);
-  out_.write(reinterpret_cast<const char*>(header.data()),
-             static_cast<std::streamsize>(header.size()));
-  if (!out_) fail(path_, "header write failed");
-  offset_ = header.size();
-}
-
-TraceWriter::~TraceWriter() {
-  if (finished_) return;
-  try {
-    finish();
-  } catch (...) {
-    // Destruction must not throw; an unreadable tail is caught by the
-    // reader's trailer/checksum validation.
-  }
-}
+    : writer_(path, kTraceFormat, options.chunk_capacity, "trace writer") {}
 
 void TraceWriter::append(const tx::Transaction& transaction) {
-  if (finished_) fail(path_, "append after finish()");
-  if (transaction.index != total_) {
-    fail(path_, "non-dense transaction index " +
-                    std::to_string(transaction.index) + " (expected " +
-                    std::to_string(total_) + ")");
+  if (writer_.finished()) writer_.fail("append after finish()");
+  if (transaction.index != writer_.total()) {
+    writer_.fail("non-dense transaction index " +
+                 std::to_string(transaction.index) + " (expected " +
+                 std::to_string(writer_.total()) + ")");
   }
   for (const tx::OutPoint& in : transaction.inputs) {
     if (in.tx >= transaction.index) {
-      fail(path_, "tx " + std::to_string(transaction.index) +
-                      ": forward/self input reference " +
-                      std::to_string(in.tx));
+      writer_.fail("tx " + std::to_string(transaction.index) +
+                   ": forward/self input reference " + std::to_string(in.tx));
     }
   }
-  tx::encode_transaction(payload_, transaction);
-  ++chunk_count_;
-  ++total_;
-  if (chunk_count_ >= chunk_capacity_) flush_chunk();
-}
-
-void TraceWriter::flush_chunk() {
-  if (chunk_count_ == 0) return;
-  ChunkInfo info;
-  info.offset = offset_;
-  info.first_index = total_ - chunk_count_;
-  info.count = chunk_count_;
-
-  std::vector<std::uint8_t> frame;
-  frame.reserve(payload_.size() + 24);
-  tx::write_varint(frame, chunk_count_);
-  tx::write_varint(frame, payload_.size());
-  frame.insert(frame.end(), payload_.begin(), payload_.end());
-  tx::write_varint(frame, fnv1a64(payload_));
-  out_.write(reinterpret_cast<const char*>(frame.data()),
-             static_cast<std::streamsize>(frame.size()));
-  if (!out_) fail(path_, "chunk write failed");
-
-  offset_ += frame.size();
-  chunks_.push_back(info);
-  payload_.clear();
-  chunk_count_ = 0;
-}
-
-std::uint64_t TraceWriter::finish() {
-  if (finished_) return total_;
-  flush_chunk();
-
-  const std::uint64_t footer_offset = offset_;
-  std::vector<std::uint8_t> footer;
-  tx::write_varint(footer, chunks_.size());
-  for (const ChunkInfo& chunk : chunks_) {
-    tx::write_varint(footer, chunk.offset);
-    tx::write_varint(footer, chunk.first_index);
-    tx::write_varint(footer, chunk.count);
-  }
-  tx::write_varint(footer, total_);
-
-  // Fixed-size trailer: u64 LE footer offset + trailer magic, so a reader
-  // finds the footer from the file's end without parsing anything else.
-  for (int shift = 0; shift < 64; shift += 8) {
-    footer.push_back(static_cast<std::uint8_t>(footer_offset >> shift));
-  }
-  for (const std::uint8_t byte : kTrailerMagic) footer.push_back(byte);
-
-  out_.write(reinterpret_cast<const char*>(footer.data()),
-             static_cast<std::streamsize>(footer.size()));
-  out_.close();
-  if (!out_) fail(path_, "footer write failed");
-  finished_ = true;
-  return total_;
+  tx::encode_transaction(writer_.payload(), transaction);
+  writer_.end_record();
 }
 
 }  // namespace optchain::trace

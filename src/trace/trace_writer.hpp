@@ -7,9 +7,7 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <string>
-#include <vector>
 
 #include "trace/trace_format.hpp"
 #include "txmodel/transaction.hpp"
@@ -31,18 +29,11 @@ struct TraceWriterOptions {
 class TraceWriter {
  public:
   /// Opens `path` for writing and emits the header. Throws
-  /// std::runtime_error on I/O failure or chunk_capacity == 0.
+  /// std::runtime_error on I/O failure or chunk_capacity == 0. An
+  /// unfinished writer finish()es on destruction, swallowing errors — call
+  /// finish() explicitly to observe them.
   explicit TraceWriter(const std::string& path,
                        TraceWriterOptions options = {});
-
-  /// finish()es an unfinished writer, swallowing errors — call finish()
-  /// explicitly to observe them.
-  ~TraceWriter();
-
-  /// Not copyable (owns the output stream and the in-flight chunk).
-  TraceWriter(const TraceWriter&) = delete;
-  /// Not copy-assignable.
-  TraceWriter& operator=(const TraceWriter&) = delete;
 
   /// Appends one transaction. Indices must be dense (0, 1, 2, ...) and
   /// inputs must reference earlier transactions; violations throw
@@ -53,23 +44,15 @@ class TraceWriter {
   /// Flushes the tail chunk, writes the footer index and trailer, and
   /// closes the file. Returns the total transaction count. Idempotent;
   /// append() after finish() throws.
-  std::uint64_t finish();
+  std::uint64_t finish() { return writer_.finish(); }
 
   /// Transactions appended so far.
-  std::uint64_t total() const noexcept { return total_; }
+  std::uint64_t total() const noexcept { return writer_.total(); }
+  /// Chunk frames written so far (after finish(): in the file).
+  std::uint64_t num_chunks() const noexcept { return writer_.num_chunks(); }
 
  private:
-  void flush_chunk();
-
-  std::ofstream out_;
-  std::string path_;
-  std::uint32_t chunk_capacity_;
-  std::vector<std::uint8_t> payload_;      // current chunk's encoded body
-  std::uint64_t chunk_count_ = 0;          // transactions in current chunk
-  std::vector<ChunkInfo> chunks_;          // footer index under construction
-  std::uint64_t offset_ = 0;               // current file offset
-  std::uint64_t total_ = 0;
-  bool finished_ = false;
+  ChunkWriter writer_;
 };
 
 }  // namespace optchain::trace

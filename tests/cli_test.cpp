@@ -1,7 +1,7 @@
 // End-to-end checks of the `optchain` command-line tool, run as a child
-// process: a nonsense simulation or placement setting must exit 1 with a
-// message that names the offending field, not abort and not fall back to a
-// default.
+// process: a nonsense simulation or placement setting, or a flag the command
+// does not read, must exit 1 with a message that names the offending field
+// or flag, not abort and not fall back to a default.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -82,6 +82,23 @@ TEST(CliPlaceTest, ZeroShardsExitsOneNamingTheField) {
   EXPECT_EQ(outcome.exit_code, 1) << outcome.stderr_text;
   EXPECT_NE(outcome.stderr_text.find("num_shards"), std::string::npos)
       << outcome.stderr_text;
+  std::remove(trace.c_str());
+}
+
+TEST(CliFlagsTest, UnknownFlagExitsOneNamingIt) {
+  const std::string trace = ::testing::TempDir() + "/cli_test_flags.optx";
+  ASSERT_EQ(run_cli("generate --txs=500 --seed=5 --out=" + trace).exit_code,
+            0);
+  const std::string place = "place --in=" + trace + " --method=OptChain ";
+  // A misspelt --shards used to place over the default 16 shards.
+  for (const char* flag : {"shard", "no_such_flag"}) {
+    const Outcome outcome = run_cli(place + "--" + flag + "=4");
+    EXPECT_EQ(outcome.exit_code, 1) << flag << '\n' << outcome.stderr_text;
+    EXPECT_NE(outcome.stderr_text.find(std::string("unknown flag --") + flag +
+                                       "\n"),
+              std::string::npos)
+        << outcome.stderr_text;
+  }
   std::remove(trace.c_str());
 }
 

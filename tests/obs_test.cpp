@@ -11,10 +11,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/run_spec.hpp"
@@ -182,26 +185,52 @@ TEST(OtraceReaderTest, RejectsCorruptTraces) {
   EXPECT_THROW(drain(flipped), std::runtime_error);
 }
 
-// A hand-built OTRC container: header, one chunk frame that claims
-// `claimed_payload` bytes but carries `payload`, then a footer whose chunk
-// count is `n_chunks` (its one real entry points at the frame).
-std::string hand_built_otrace(std::uint64_t claimed_payload,
-                              const std::vector<std::uint8_t>& payload,
-                              std::uint64_t n_chunks) {
+/// The footer index of a hand-built trace, as a writer would lay it out;
+/// a test edits it to make the file hostile.
+struct HandBuiltFooter {
+  /// One index entry.
+  struct Entry {
+    std::uint64_t offset = 0;
+    std::uint64_t first_index = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<Entry> entries;          ///< one per frame
+  std::uint64_t total = 0;             ///< the sum of the counts
+  std::vector<std::uint8_t> gap;       ///< bytes between frames and footer
+  std::vector<std::uint8_t> trailing;  ///< bytes after the total
+};
+
+// A hand-built OTRC container: header, `frames` copies of one chunk frame
+// (one record each) that claims `claimed_payload` bytes but carries
+// `payload`, then a footer whose chunk count is `n_chunks` with one entry
+// per frame (after `edit` has changed it), and the trailer.
+std::string hand_built_otrace(
+    std::uint64_t claimed_payload, const std::vector<std::uint8_t>& payload,
+    std::uint64_t n_chunks, std::uint64_t frames = 1,
+    const std::function<void(HandBuiltFooter&)>& edit = {}) {
   std::vector<std::uint8_t> bytes(obs::kOtraceMagic, obs::kOtraceMagic + 4);
   tx::write_varint(bytes, obs::kOtraceVersion);
   tx::write_varint(bytes, 8);  // chunk capacity
-  const std::uint64_t chunk_offset = bytes.size();
-  tx::write_varint(bytes, 1);  // records in the chunk
-  tx::write_varint(bytes, claimed_payload);
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  tx::write_varint(bytes, fnv1a(payload));
+  HandBuiltFooter footer;
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    footer.entries.push_back({bytes.size(), footer.total, 1});
+    footer.total += 1;
+    tx::write_varint(bytes, 1);  // records in the chunk
+    tx::write_varint(bytes, claimed_payload);
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    tx::write_varint(bytes, fnv1a(payload));
+  }
+  if (edit) edit(footer);
+  bytes.insert(bytes.end(), footer.gap.begin(), footer.gap.end());
   const std::uint64_t footer_offset = bytes.size();
   tx::write_varint(bytes, n_chunks);
-  tx::write_varint(bytes, chunk_offset);
-  tx::write_varint(bytes, 0);  // first index
-  tx::write_varint(bytes, 1);  // count
-  tx::write_varint(bytes, 1);  // total records
+  for (const HandBuiltFooter::Entry& entry : footer.entries) {
+    tx::write_varint(bytes, entry.offset);
+    tx::write_varint(bytes, entry.first_index);
+    tx::write_varint(bytes, entry.count);
+  }
+  tx::write_varint(bytes, footer.total);
+  bytes.insert(bytes.end(), footer.trailing.begin(), footer.trailing.end());
   for (int shift = 0; shift < 64; shift += 8) {
     bytes.push_back(static_cast<std::uint8_t>(footer_offset >> shift));
   }
@@ -285,6 +314,83 @@ TEST(OtraceReaderTest, LinkCountLargerThanChunkThrows) {
   obs::OtraceReader reader(path);
   obs::TraceRecord record;
   EXPECT_THROW(reader.next(record), std::runtime_error);
+}
+
+// The footer rules of the shared chunk container, the same cases trace_test
+// holds OPTX files to. Each hand-built trace has three frames of one
+// record each; before the shared container, OTRC opened every one of
+// these and decoded a truncated or repeated record stream.
+TEST(OtraceReaderTest, HostileFootersAreRefused) {
+  const std::vector<std::uint8_t> record =
+      sample_claiming(obs::TraceRecordType::kQueueSample, 0);
+  const auto build = [&record](
+                         const std::function<void(HandBuiltFooter&)>& edit) {
+    const std::string path = temp_path("hostile_footer.otrace");
+    spit(path, hand_built_otrace(record.size(), record, 3, 3, edit));
+    return path;
+  };
+  EXPECT_EQ(drain(build({})), 3u);  // unedited, the trace reads back whole
+
+  using Edit = std::function<void(HandBuiltFooter&)>;
+  const std::pair<const char*, Edit> at_open[] = {
+      {"total below the sum of the counts",
+       [](HandBuiltFooter& footer) { footer.total = 1; }},
+      {"trailing footer bytes",
+       [](HandBuiltFooter& footer) { footer.trailing = {0, 0, 0}; }},
+      {"first_index not dense",
+       [](HandBuiltFooter& footer) { footer.entries[1].first_index = 2; }},
+      {"zero count",
+       [](HandBuiltFooter& footer) { footer.entries[1].count = 0; }},
+      {"offsets go backwards",
+       [](HandBuiltFooter& footer) {
+         std::swap(footer.entries[1].offset, footer.entries[2].offset);
+       }},
+      {"repeated offset",
+       [](HandBuiltFooter& footer) {
+         footer.entries[1].offset = footer.entries[0].offset;
+       }},
+  };
+  for (const auto& [what, edit] : at_open) {
+    EXPECT_THROW(obs::OtraceReader{build(edit)}, std::runtime_error) << what;
+  }
+  // Bytes between the last frame and the footer: the index opens, but the
+  // last frame does not end where the footer begins.
+  EXPECT_THROW(
+      drain(build([](HandBuiltFooter& footer) { footer.gap = {0}; })),
+      std::runtime_error);
+}
+
+TEST(RunTracerTest, MultiChunkBytesArePinned) {
+  // Every record type, 48 records over 10 frames of 5. The digest was
+  // captured before the framing moved into the shared chunk container; the
+  // container must keep writing exactly these bytes.
+  const std::string path = temp_path("pinned.otrace");
+  {
+    obs::RunTracerOptions options;
+    options.chunk_capacity = 5;
+    obs::RunTracer tracer(path, options);
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      const double time = 1.0 + 0.25 * i;
+      tracer.on_issue(i, time, i % 2 == 0);
+      tracer.on_commit(i, time + 0.5, 0.5 + i);
+      tracer.on_abort(100 + i, time + 0.125);
+      tracer.on_block_commit(i % 4, time + 0.0625);
+      const std::vector<std::uint64_t> queues = {i, 300u + i, 70000u * i};
+      tracer.on_queue_sample(time, queues);
+      const std::vector<sim::LinkSample> links = {{0, 0.25 * i, i},
+                                                  {1 + i, 1e-3, 1000u * i}};
+      tracer.on_link_sample(time, links);
+      tracer.on_shard_change(i, time, i % 2 == 1, 10u * i, 20u * i);
+      tracer.on_repartition(time, i, 2u * i, 3u * i);
+    }
+    EXPECT_EQ(tracer.finish(), 48u);
+  }
+  EXPECT_EQ(obs::OtraceReader(path).num_chunks(), 10u);
+  const std::string bytes = slurp(path);
+  const std::uint64_t digest = fnv1a(std::span(
+      reinterpret_cast<const std::uint8_t*>(bytes.data()), bytes.size()));
+  EXPECT_EQ(bytes.size(), 897u);
+  EXPECT_EQ(digest, 0xa8f10f5def70e73fULL) << std::hex << digest;
 }
 
 // ---------------------------------------------------------- Chrome export

@@ -6,13 +6,17 @@
 
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
 #include "api/run_spec.hpp"
 #include "api/scenario_spec.hpp"
 #include "api/sweep_runner.hpp"
+#include "common/hash.hpp"
 #include "trace/trace_import.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_source.hpp"
@@ -70,6 +74,21 @@ TEST(TraceRoundTripTest, MultiChunkRoundTrip) {
   }
   EXPECT_FALSE(reader.next(transaction));
   EXPECT_FALSE(reader.next(transaction));  // stays exhausted
+  std::remove(path.c_str());
+}
+
+TEST(TraceRoundTripTest, MultiChunkBytesArePinned) {
+  // A generated stream over 30 frames of 100 transactions. The digest was
+  // captured before the framing moved into the shared chunk container;
+  // the container must keep writing exactly these bytes.
+  const auto txs = bitcoin_stream(3000, 63);
+  const std::string path = write_trace(txs, "pinned.optx", 100);
+  EXPECT_EQ(TraceReader(path).num_chunks(), 30u);
+  std::ifstream file(path, std::ios::binary);
+  const std::vector<std::uint8_t> bytes(
+      (std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(bytes.size(), 46677u);
+  EXPECT_EQ(fnv1a(bytes), 0xf55fbd37da5f9baaULL) << std::hex << fnv1a(bytes);
   std::remove(path.c_str());
 }
 
@@ -180,26 +199,53 @@ std::string write_bytes(const std::string& name,
   return path;
 }
 
-/// A hand-built v2 file: header (chunk capacity 64), one chunk frame
-/// holding `count` and `payload_bytes` as given followed by `payload`, a
-/// footer indexing `n_chunks` copies of that chunk, and the trailer.
+/// The footer index of a hand-built file, as a writer would lay it out;
+/// a test edits it to make the file hostile.
+struct HandBuiltFooter {
+  /// One index entry.
+  struct Entry {
+    std::uint64_t offset = 0;
+    std::uint64_t first_index = 0;
+    std::uint64_t count = 0;
+  };
+  std::vector<Entry> entries;          ///< one per frame
+  std::uint64_t total = 0;             ///< the sum of the counts
+  std::vector<std::uint8_t> gap;       ///< bytes between frames and footer
+  std::vector<std::uint8_t> trailing;  ///< bytes after the total
+};
+
+/// A hand-built v2 file: header (chunk capacity 64), `frames` copies of one
+/// chunk frame holding `count` and `payload_bytes` as given followed by
+/// `payload`, a footer whose chunk count is `n_chunks` with one entry per
+/// frame (after `edit` has changed it), and the trailer.
 std::vector<std::uint8_t> hand_built_v2(
     std::uint64_t count, std::uint64_t payload_bytes,
-    const std::vector<std::uint8_t>& payload, std::uint64_t n_chunks) {
+    const std::vector<std::uint8_t>& payload, std::uint64_t n_chunks,
+    std::uint64_t frames = 1,
+    const std::function<void(HandBuiltFooter&)>& edit = {}) {
   std::vector<std::uint8_t> bytes = {'O', 'P', 'T', 'X'};
   tx::write_varint(bytes, kTraceVersion);
   tx::write_varint(bytes, 64);
-  const std::uint64_t chunk_offset = bytes.size();
-  tx::write_varint(bytes, count);
-  tx::write_varint(bytes, payload_bytes);
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  tx::write_varint(bytes, fnv1a64(payload));
+  HandBuiltFooter footer;
+  for (std::uint64_t i = 0; i < frames; ++i) {
+    footer.entries.push_back({bytes.size(), footer.total, count});
+    footer.total += count;
+    tx::write_varint(bytes, count);
+    tx::write_varint(bytes, payload_bytes);
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    tx::write_varint(bytes, fnv1a(payload));
+  }
+  if (edit) edit(footer);
+  bytes.insert(bytes.end(), footer.gap.begin(), footer.gap.end());
   const std::uint64_t footer_offset = bytes.size();
   tx::write_varint(bytes, n_chunks);
-  tx::write_varint(bytes, chunk_offset);
-  tx::write_varint(bytes, 0);  // first_index
-  tx::write_varint(bytes, count);
-  tx::write_varint(bytes, count);  // total
+  for (const HandBuiltFooter::Entry& entry : footer.entries) {
+    tx::write_varint(bytes, entry.offset);
+    tx::write_varint(bytes, entry.first_index);
+    tx::write_varint(bytes, entry.count);
+  }
+  tx::write_varint(bytes, footer.total);
+  bytes.insert(bytes.end(), footer.trailing.begin(), footer.trailing.end());
   for (int shift = 0; shift < 64; shift += 8) {
     bytes.push_back(static_cast<std::uint8_t>(footer_offset >> shift));
   }
@@ -247,6 +293,62 @@ TEST(TraceCorruptionTest, ChunkTransactionWithHugeInputCountThrows) {
   TraceReader reader(path);
   tx::Transaction transaction;
   EXPECT_THROW(reader.next(transaction), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+// The footer rules of the shared chunk container (obs_test holds .otrace
+// files to the same cases). Each hand-built file has three frames of one
+// coinbase transaction each.
+TEST(TraceCorruptionTest, HostileFootersAreRefused) {
+  const auto build = [](const std::function<void(HandBuiltFooter&)>& edit) {
+    return write_bytes("hostile_footer.optx",
+                       hand_built_v2(1, 2, {0, 0}, 3, 3, edit));
+  };
+  {
+    // Unedited, the file reads back whole.
+    const std::string path = build({});
+    TraceReader reader(path);
+    tx::Transaction transaction;
+    std::uint64_t decoded = 0;
+    while (reader.next(transaction)) ++decoded;
+    EXPECT_EQ(decoded, 3u);
+  }
+  using Edit = std::function<void(HandBuiltFooter&)>;
+  const std::pair<const char*, Edit> at_open[] = {
+      {"total below the sum of the counts",
+       [](HandBuiltFooter& footer) { footer.total = 1; }},
+      {"trailing footer bytes",
+       [](HandBuiltFooter& footer) { footer.trailing = {0, 0, 0}; }},
+      {"first_index not dense",
+       [](HandBuiltFooter& footer) { footer.entries[1].first_index = 2; }},
+      {"zero count",
+       [](HandBuiltFooter& footer) { footer.entries[1].count = 0; }},
+      {"offsets go backwards",
+       [](HandBuiltFooter& footer) {
+         std::swap(footer.entries[1].offset, footer.entries[2].offset);
+       }},
+      {"repeated offset",
+       [](HandBuiltFooter& footer) {
+         footer.entries[1].offset = footer.entries[0].offset;
+       }},
+  };
+  for (const auto& [what, edit] : at_open) {
+    const std::string path = build(edit);
+    EXPECT_THROW(TraceReader{path}, std::runtime_error) << what;
+    std::remove(path.c_str());
+  }
+  // Bytes between the last frame and the footer: the index opens, but the
+  // last frame does not end where the footer begins.
+  const std::string path =
+      build([](HandBuiltFooter& footer) { footer.gap = {0}; });
+  TraceReader reader(path);
+  tx::Transaction transaction;
+  EXPECT_THROW(
+      {
+        while (reader.next(transaction)) {
+        }
+      },
+      std::runtime_error);
   std::remove(path.c_str());
 }
 
@@ -553,6 +655,43 @@ TEST(TraceImportTest, CsvImportParsesInputsAndOutputs) {
   }
   EXPECT_THROW(import_file(csv_path, trace_path, ImportFormat::kCsv),
                std::runtime_error);
+  std::remove(csv_path.c_str());
+  std::remove(trace_path.c_str());
+}
+
+TEST(TraceImportTest, CsvImportRejectsOutOfRangeFields) {
+  // A vout or owner must fit 32 bits and a value 63: the ranges the OPTX
+  // codec stores. Past them the importer fails with its line number rather
+  // than truncating the field or tripping the encoder.
+  const std::string csv_path = temp_path("range.csv");
+  const std::string trace_path = temp_path("range.optx");
+  const char* const dumps[] = {
+      "0,,18446744073709551615:0\n",  // value >= 2^63
+      "0,,5:0\n1,0:4294967296,5:0\n",  // vout >= 2^32
+      "0,,5:4294967297\n",              // owner >= 2^32
+  };
+  for (const char* dump : dumps) {
+    std::ofstream(csv_path) << dump;
+    try {
+      import_file(csv_path, trace_path, ImportFormat::kCsv);
+      ADD_FAILURE() << "imported " << dump;
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("csv import: "),
+                std::string::npos)
+          << error.what();
+    }
+  }
+
+  // The largest in-range values import exactly.
+  std::ofstream(csv_path) << "0,,9223372036854775807:4294967295\n"
+                          << "1,0:4294967295,1:0\n";
+  ASSERT_EQ(import_file(csv_path, trace_path, ImportFormat::kCsv).txs, 2u);
+  TraceTxSource replay(trace_path);
+  const auto txs = workload::materialize(replay);
+  ASSERT_EQ(txs.size(), 2u);
+  EXPECT_EQ(txs[0].outputs,
+            (std::vector<tx::TxOut>{{9223372036854775807, 4294967295u}}));
+  EXPECT_EQ(txs[1].inputs, (std::vector<tx::OutPoint>{{0, 4294967295u}}));
   std::remove(csv_path.c_str());
   std::remove(trace_path.c_str());
 }

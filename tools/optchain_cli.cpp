@@ -59,6 +59,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/placer_registry.hpp"
@@ -76,6 +77,18 @@
 namespace {
 
 using namespace optchain;
+
+// The flags each command reads; Flags::reject_unknown refuses any other.
+constexpr std::string_view kWindowFlags[] = {"in", "trace", "begin", "end"};
+constexpr std::string_view kSpecFlags[] = {
+    "method", "shards", "seed", "rate", "fault_rate", "sim_seed",
+    "commit_window", "queue_interval", "slowdown", "protocol", "fabric",
+    "regions", "jitter", "repartition_interval", "repartition_budget",
+    "repartition_window", "csv"};
+constexpr std::string_view kGenerateFlags[] = {"txs", "seed", "out", "chunk",
+                                               "account"};
+constexpr std::string_view kPartitionFlags[] = {"shards", "epsilon", "seed"};
+constexpr std::string_view kTraceOutFlag[] = {"trace_out"};
 
 int usage() {
   std::fprintf(stderr,
@@ -173,6 +186,7 @@ void print_and_maybe_save(const api::RunReport& report, const Flags& flags) {
 }
 
 int cmd_generate(const Flags& flags) {
+  flags.reject_unknown({kGenerateFlags});
   const auto n = static_cast<std::uint64_t>(flags.get_int("txs", 100000));
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
   const std::string out = flags.get_string("out", "stream.optx");
@@ -197,6 +211,7 @@ int cmd_generate(const Flags& flags) {
 }
 
 int cmd_stats(const Flags& flags) {
+  flags.reject_unknown({kWindowFlags});
   trace::TraceTxSource source = open_stream(flags);
   const graph::TanDag dag = stream_tan(source);
   const auto stats = graph::compute_degree_stats(dag);
@@ -216,7 +231,8 @@ int cmd_stats(const Flags& flags) {
   return 0;
 }
 
-int cmd_methods(const Flags& /*flags*/) {
+int cmd_methods(const Flags& flags) {
+  flags.reject_unknown({});
   std::printf("registered placement methods (case-insensitive):\n");
   for (const std::string& name : api::PlacerRegistry::instance().names()) {
     std::printf("  %s\n", name.c_str());
@@ -225,6 +241,7 @@ int cmd_methods(const Flags& /*flags*/) {
 }
 
 int cmd_place(const Flags& flags) {
+  flags.reject_unknown({kWindowFlags, kSpecFlags});
   trace::TraceTxSource source = open_stream(flags);
   const api::RunSpec spec = spec_from_flags(flags);
   api::RunReport report;
@@ -245,6 +262,7 @@ int cmd_place(const Flags& flags) {
 }
 
 int cmd_partition(const Flags& flags) {
+  flags.reject_unknown({kWindowFlags, kPartitionFlags});
   trace::TraceTxSource source = open_stream(flags);
   const auto k = static_cast<std::uint32_t>(flags.get_int("shards", 16));
   const graph::TanDag dag = stream_tan(source);
@@ -267,6 +285,7 @@ int cmd_partition(const Flags& flags) {
 }
 
 int cmd_simulate(const Flags& flags) {
+  flags.reject_unknown({kWindowFlags, kSpecFlags, kTraceOutFlag});
   trace::TraceTxSource source = open_stream(flags);
   api::RunSpec spec = spec_from_flags(flags);
   // --trace_out=PATH captures the run's lifecycle telemetry as an .otrace

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <exception>
 #include <string>
+#include <string_view>
 
 #include "common/flags.hpp"
 #include "obs/chrome_export.hpp"
@@ -31,6 +32,11 @@ using optchain::obs::OtraceReader;
 using optchain::obs::TraceRecord;
 using optchain::obs::TraceRecordType;
 using optchain::obs::TraceSummary;
+
+// The flags each command reads; Flags::reject_unknown refuses any other.
+constexpr std::string_view kExportFlags[] = {"in", "out"};
+constexpr std::string_view kSummarizeFlags[] = {"in"};
+constexpr std::string_view kDiffFlags[] = {"a", "b"};
 
 int usage() {
   std::fprintf(stderr,
@@ -74,6 +80,7 @@ bool records_equal(const TraceRecord& a, const TraceRecord& b) {
 }
 
 int run_export(const optchain::Flags& flags) {
+  flags.reject_unknown({kExportFlags});
   const std::string in = flags.get_string("in", "");
   const std::string out = flags.get_string("out", "");
   if (in.empty() || out.empty()) return usage();
@@ -84,6 +91,7 @@ int run_export(const optchain::Flags& flags) {
 }
 
 int run_summarize(const optchain::Flags& flags) {
+  flags.reject_unknown({kSummarizeFlags});
   const std::string in = flags.get_string("in", "");
   if (in.empty()) return usage();
   OtraceReader reader(in);
@@ -115,6 +123,7 @@ int run_summarize(const optchain::Flags& flags) {
 }
 
 int run_diff(const optchain::Flags& flags) {
+  flags.reject_unknown({kDiffFlags});
   const std::string path_a = flags.get_string("a", "");
   const std::string path_b = flags.get_string("b", "");
   if (path_a.empty() || path_b.empty()) return usage();

@@ -22,6 +22,7 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/flags.hpp"
@@ -35,6 +36,13 @@
 namespace {
 
 using namespace optchain;
+
+// The flags each command reads; Flags::reject_unknown refuses any other.
+constexpr std::string_view kImportFlags[] = {"in",  "out",  "format", "gen",
+                                             "txs", "seed", "chunk"};
+constexpr std::string_view kWindowFlags[] = {"in", "begin", "end"};
+constexpr std::string_view kSliceFlags[] = {"out", "chunk"};
+constexpr std::string_view kCatFlags[] = {"limit"};
 
 int usage() {
   std::fprintf(
@@ -73,6 +81,7 @@ trace::TraceTxSource open_window(const Flags& flags) {
 }
 
 int cmd_import(const Flags& flags) {
+  flags.reject_unknown({kImportFlags});
   const std::string out = required(flags, "out");
   const std::string gen = flags.get_string("gen", "");
   trace::ImportResult result;
@@ -111,6 +120,7 @@ int cmd_import(const Flags& flags) {
 }
 
 int cmd_info(const Flags& flags) {
+  flags.reject_unknown({kWindowFlags});
   const std::string path = required(flags, "in");
   trace::TraceTxSource source = open_window(flags);
   const trace::TraceReader& reader = source.reader();
@@ -191,6 +201,7 @@ int cmd_info(const Flags& flags) {
 }
 
 int cmd_slice(const Flags& flags) {
+  flags.reject_unknown({kWindowFlags, kSliceFlags});
   const std::string out = required(flags, "out");
   trace::TraceTxSource source = open_window(flags);
   const trace::ImportResult result =
@@ -203,6 +214,7 @@ int cmd_slice(const Flags& flags) {
 }
 
 int cmd_cat(const Flags& flags) {
+  flags.reject_unknown({kWindowFlags, kCatFlags});
   trace::TraceTxSource source = open_window(flags);
   const auto limit = static_cast<std::uint64_t>(
       flags.get_int("limit", std::numeric_limits<std::int64_t>::max()));
