@@ -22,6 +22,8 @@
 //   --smoke         CI smoke mode: 20k placement / 4k sim transactions,
 //                   each timed 32 times (once otherwise)
 //
+// Any other flag, or a malformed one, exits 2 naming it.
+//
 // With repetitions the headline rates ("placement" tx_per_s, "simulation"
 // events_per_s and sim_tx_per_s) are medians over the repetitions, with the
 // slowest rep (_min) and the median absolute deviation (_mad) beside them;
@@ -40,8 +42,10 @@
 #include <cstddef>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -120,8 +124,13 @@ RepStats rep_stats(const std::vector<double>& values) {
   std::exit(1);
 }
 
+/// The flags bench_scale reads; Flags::reject_unknown refuses any other.
+constexpr std::string_view kScaleFlags[] = {
+    "smoke", "txs", "sim_txs", "shards", "rate", "seed", "method", "out"};
+
 int run(int argc, char** argv) {
-  Flags flags(argc, argv);
+  const Flags flags(argc, argv);
+  flags.reject_unknown({kScaleFlags});
   const bool smoke = flags.get_bool("smoke", false);
   const auto txs =
       static_cast<std::uint64_t>(flags.get_int("txs", smoke ? 20'000
@@ -329,4 +338,11 @@ int run(int argc, char** argv) {
 }  // namespace
 }  // namespace optchain::bench
 
-int main(int argc, char** argv) { return optchain::bench::run(argc, argv); }
+int main(int argc, char** argv) {
+  try {
+    return optchain::bench::run(argc, argv);
+  } catch (const std::exception& error) {
+    std::fprintf(stderr, "bench_scale: %s\n", error.what());
+    return 2;
+  }
+}

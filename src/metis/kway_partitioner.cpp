@@ -1,8 +1,12 @@
 #include "metis/kway_partitioner.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <memory_resource>
+#include <new>
 #include <numeric>
-#include <queue>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
 #include "common/assert.hpp"
@@ -12,6 +16,67 @@ namespace optchain::metis {
 namespace {
 
 constexpr std::uint32_t kUnassigned = static_cast<std::uint32_t>(-1);
+
+/// Memory for coarsen()'s row map. Each freed block of the first size and
+/// alignment asked for (the map's node) goes on a free list and serves the
+/// next such request, so the nodes one row's clear() frees come straight
+/// back for the next row instead of going through the heap. Other requests
+/// (the bucket arrays) go to the heap. Where nodes live does not affect the
+/// map's iteration order. (std::pmr::unsynchronized_pool_resource measured
+/// slower here than plain operator new.)
+class NodeRecycler final : public std::pmr::memory_resource {
+ public:
+  NodeRecycler() = default;
+  NodeRecycler(const NodeRecycler&) = delete;
+  NodeRecycler& operator=(const NodeRecycler&) = delete;
+  ~NodeRecycler() override {
+    while (free_ != nullptr) {
+      Block* block = free_;
+      free_ = block->next;
+      heap()->deallocate(block, block_bytes_, block_align_);
+    }
+  }
+
+ private:
+  struct Block {
+    Block* next;
+  };
+
+  static std::pmr::memory_resource* heap() {
+    return std::pmr::new_delete_resource();
+  }
+
+  bool recycles(std::size_t bytes, std::size_t align) const noexcept {
+    return bytes == block_bytes_ && align == block_align_;
+  }
+
+  void* do_allocate(std::size_t bytes, std::size_t align) override {
+    if (block_bytes_ == 0 && bytes >= sizeof(Block) &&
+        align >= alignof(Block)) {
+      block_bytes_ = bytes;
+      block_align_ = align;
+    }
+    if (!recycles(bytes, align) || free_ == nullptr) {
+      return heap()->allocate(bytes, align);
+    }
+    Block* block = free_;
+    free_ = block->next;
+    return block;
+  }
+
+  void do_deallocate(void* p, std::size_t bytes, std::size_t align) override {
+    if (!recycles(bytes, align)) return heap()->deallocate(p, bytes, align);
+    free_ = ::new (p) Block{free_};
+  }
+
+  bool do_is_equal(const memory_resource& other) const noexcept override {
+    return this == &other;
+  }
+
+  std::size_t block_bytes_ = 0;
+  std::size_t block_align_ = 0;
+  Block* free_ = nullptr;
+};
 
 /// Weighted graph level used during coarsening. Adjacency is CSR with
 /// parallel edge weights; vertex weights count how many original vertices a
@@ -96,22 +161,30 @@ Level coarsen(Level& fine, const std::vector<std::uint32_t>& match) {
   }
 
   // Aggregate adjacency; a scratch map keyed by coarse target collapses
-  // parallel edges, dropping self-loops.
+  // parallel edges, dropping self-loops. Its iteration order is the coarse
+  // adjacency order, which every later tie-break follows, so one map serves
+  // every row, cleared in between: a fresh or reserved map would iterate in
+  // another order.
   coarse.offsets.assign(1, 0);
-  std::unordered_map<std::uint32_t, std::uint64_t> row;
-  std::vector<std::vector<std::uint32_t>> members(next);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    members[fine.coarse_map[u]].push_back(u);
-  }
-  for (std::uint32_t cu = 0; cu < next; ++cu) {
-    row.clear();
-    for (const std::uint32_t u : members[cu]) {
-      for (std::uint64_t e = fine.offsets[u]; e < fine.offsets[u + 1]; ++e) {
-        const std::uint32_t cv = fine.coarse_map[fine.targets[e]];
-        if (cv == cu) continue;
-        row[cv] += fine.eweights[e];
-      }
+  NodeRecycler nodes;
+  std::pmr::unordered_map<std::uint32_t, std::uint64_t> row(&nodes);
+  const auto add_edges = [&](std::uint32_t u, std::uint32_t cu) {
+    for (std::uint64_t e = fine.offsets[u]; e < fine.offsets[u + 1]; ++e) {
+      const std::uint32_t cv = fine.coarse_map[fine.targets[e]];
+      if (cv == cu) continue;
+      row[cv] += fine.eweights[e];
     }
+  };
+  // Coarse vertices were numbered in ascending order of their smaller
+  // member, so walking u upwards and skipping each pair's larger member
+  // visits them in order, each as {u, match[u]}.
+  for (std::uint32_t u = 0; u < n; ++u) {
+    const std::uint32_t partner = match[u];
+    if (partner < u) continue;
+    const std::uint32_t cu = fine.coarse_map[u];
+    row.clear();
+    add_edges(u, cu);
+    if (partner != u) add_edges(partner, cu);
     for (const auto& [cv, w] : row) {
       coarse.targets.push_back(cv);
       coarse.eweights.push_back(w);
@@ -219,11 +292,19 @@ void force_balance(const Level& level, std::uint32_t k,
   }
 }
 
-std::uint64_t part_weight_target(const Level& level, std::uint32_t k) {
+/// The balance bound (1 + imbalance) · ceil(total / k), saturated at the
+/// total vertex weight: no part can outgrow the total, so any larger bound
+/// acts the same, and a huge imbalance never overflows the conversion.
+std::uint64_t balance_cap(const Level& level, std::uint32_t k,
+                          double imbalance) {
   const std::uint64_t total =
       std::accumulate(level.vweights.begin(), level.vweights.end(),
                       std::uint64_t{0});
-  return (total + k - 1) / k;
+  const double bound =
+      static_cast<double>((total + k - 1) / k) * (1.0 + imbalance);
+  return bound >= static_cast<double>(total)
+             ? total
+             : static_cast<std::uint64_t>(bound);
 }
 
 /// One pass of greedy boundary refinement: move vertices to the neighboring
@@ -237,11 +318,12 @@ std::size_t refine_pass(const Level& level, std::uint32_t k,
   const std::size_t n = level.num_nodes();
   std::size_t moves = 0;
   scratch.assign(k, 0);
+  std::vector<std::uint32_t> touched;
   for (std::uint32_t u = 0; u < n; ++u) {
     const std::uint32_t from = part[u];
     // Connectivity of u to each part.
     bool boundary = false;
-    std::vector<std::uint32_t> touched;
+    touched.clear();
     for (std::uint64_t e = level.offsets[u]; e < level.offsets[u + 1]; ++e) {
       const std::uint32_t p = part[level.targets[e]];
       if (scratch[p] == 0) touched.push_back(p);
@@ -274,8 +356,7 @@ std::size_t refine_pass(const Level& level, std::uint32_t k,
 
 void refine(const Level& level, std::uint32_t k, double imbalance,
             std::uint32_t passes, std::vector<std::uint32_t>& part) {
-  const std::uint64_t max_part_weight = static_cast<std::uint64_t>(
-      static_cast<double>(part_weight_target(level, k)) * (1.0 + imbalance));
+  const std::uint64_t max_part_weight = balance_cap(level, k, imbalance);
   std::vector<std::uint64_t> load(k, 0);
   for (std::uint32_t u = 0; u < level.num_nodes(); ++u) {
     load[part[u]] += level.vweights[u];
@@ -290,10 +371,21 @@ void refine(const Level& level, std::uint32_t k, double imbalance,
 
 }  // namespace
 
+void PartitionConfig::validate() const {
+  const auto reject = [](const std::string& field, const std::string& rule,
+                         const std::string& got) {
+    throw std::invalid_argument("PartitionConfig: " + field + " must be " +
+                                rule + " (got " + got + ")");
+  };
+  if (k == 0) reject("k", ">= 1", "0");
+  if (!(imbalance >= 0.0 && std::isfinite(imbalance))) {
+    reject("imbalance", "non-negative and finite", std::to_string(imbalance));
+  }
+}
+
 std::vector<std::uint32_t> partition_kway(const graph::Csr& graph,
                                           const PartitionConfig& config) {
-  OPTCHAIN_EXPECTS(config.k >= 1);
-  OPTCHAIN_EXPECTS(config.imbalance >= 0.0);
+  config.validate();
   const std::size_t n = graph.num_nodes();
   if (n == 0) return {};
   if (config.k == 1) return std::vector<std::uint32_t>(n, 0);
@@ -339,9 +431,8 @@ std::vector<std::uint32_t> partition_kway(const graph::Csr& graph,
   // recover any cut quality the evictions cost.
   {
     const Level& finest = levels.front();
-    const std::uint64_t max_part_weight = static_cast<std::uint64_t>(
-        static_cast<double>(part_weight_target(finest, config.k)) *
-        (1.0 + config.imbalance));
+    const std::uint64_t max_part_weight =
+        balance_cap(finest, config.k, config.imbalance);
     std::vector<std::uint64_t> load(config.k, 0);
     for (std::uint32_t u = 0; u < finest.num_nodes(); ++u) {
       load[part[u]] += finest.vweights[u];

@@ -15,6 +15,13 @@
 // paper shows (Tables I-II vs Figs. 3-10), minimizes cross-shard transactions
 // but destroys temporal balance, because consecutive transactions land in the
 // same part. Reproducing that failure mode is the point of this module.
+//
+// Determinism: the result is a pure function of the graph and the config.
+// Matching, region growing and refinement break ties by the coarse
+// adjacency order, which is the iteration order of the std::unordered_map
+// that collapses each coarse row's parallel edges. A standard library whose
+// unordered_map iterates differently therefore moves every partition, and
+// the pins in tests/metis_test.cpp with it.
 #pragma once
 
 #include <cstdint>
@@ -30,15 +37,21 @@ struct PartitionConfig {
   /// Allowed relative imbalance ε: every part's vertex weight stays below
   /// (1 + ε) · ceil(total / k). The paper uses ε = 0.1.
   double imbalance = 0.1;
-  /// Coarsening stops at max(coarsen_target, 4k) vertices.
+  /// Coarsening stops at max(coarsen_target, 100k) vertices.
   std::uint32_t coarsen_target = 2000;
   /// Refinement passes per uncoarsening level.
   std::uint32_t refine_passes = 4;
   std::uint64_t seed = 1;
+
+  /// Throws std::invalid_argument naming the first nonsensical field: k = 0,
+  /// or an imbalance that is negative, NaN or infinite. partition_kway()
+  /// calls it first.
+  void validate() const;
 };
 
 /// Partitions the undirected graph into k parts; returns part id per vertex.
 /// Isolated vertices are spread round-robin (they do not affect the cut).
+/// Throws std::invalid_argument when `config` fails validate().
 std::vector<std::uint32_t> partition_kway(const graph::Csr& graph,
                                           const PartitionConfig& config);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <limits>
 
 #include "txmodel/serialization.hpp"
 
@@ -17,6 +18,15 @@ std::uint8_t OtraceReader::read_u8() {
 
 std::uint64_t OtraceReader::read_varint() {
   return tx::read_varint(payload_, cursor_);
+}
+
+std::uint32_t OtraceReader::read_u32(const char* field) {
+  const std::uint64_t value = read_varint();
+  if (value > std::numeric_limits<std::uint32_t>::max()) {
+    container_.fail(std::string("record field out of range (") + field +
+                    " " + std::to_string(value) + ")");
+  }
+  return static_cast<std::uint32_t>(value);
 }
 
 double OtraceReader::read_f64() {
@@ -42,7 +52,11 @@ bool OtraceReader::next(TraceRecord& out) {
     chunk_end_ = next_index_ + container_.chunks()[chunk].count;
   }
   decode(out);
-  ++next_index_;
+  // After the chunk's last record its payload must be spent.
+  if (++next_index_ == chunk_end_ && cursor_ != payload_.size()) {
+    container_.fail("trailing bytes after chunk " +
+                    std::to_string(next_chunk_ - 1) + "'s last record");
+  }
   return true;
 }
 
@@ -52,21 +66,21 @@ void OtraceReader::decode(TraceRecord& out) {
   out.type = type;
   switch (type) {
     case TraceRecordType::kIssue:
-      out.tx = static_cast<std::uint32_t>(read_varint());
+      out.tx = read_u32("tx");
       out.time = read_f64();
       out.cross = read_u8() != 0;
       break;
     case TraceRecordType::kCommit:
-      out.tx = static_cast<std::uint32_t>(read_varint());
+      out.tx = read_u32("tx");
       out.time = read_f64();
       out.latency_s = read_f64();
       break;
     case TraceRecordType::kAbort:
-      out.tx = static_cast<std::uint32_t>(read_varint());
+      out.tx = read_u32("tx");
       out.time = read_f64();
       break;
     case TraceRecordType::kBlock:
-      out.shard = static_cast<std::uint32_t>(read_varint());
+      out.shard = read_u32("shard");
       out.time = read_f64();
       break;
     case TraceRecordType::kQueueSample: {
@@ -100,7 +114,7 @@ void OtraceReader::decode(TraceRecord& out) {
       break;
     }
     case TraceRecordType::kShardChange:
-      out.shard = static_cast<std::uint32_t>(read_varint());
+      out.shard = read_u32("shard");
       out.time = read_f64();
       out.joined = read_u8() != 0;
       out.migrated_txs = read_varint();

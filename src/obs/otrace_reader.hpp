@@ -77,8 +77,9 @@ class OtraceReader {
   }
 
   /// Decodes the next record. Returns false at end of trace. Throws
-  /// std::runtime_error on a damaged chunk frame (see ChunkReader::load) or
-  /// a truncated or unknown record.
+  /// std::runtime_error on a damaged chunk frame (see ChunkReader::load), a
+  /// truncated or unknown record, a tx or shard id past 32 bits, or bytes
+  /// after a chunk's last record.
   bool next(TraceRecord& out);
 
   /// Decodes the remaining records into one aggregate summary.
@@ -88,6 +89,8 @@ class OtraceReader {
   void decode(TraceRecord& out);
   std::uint8_t read_u8();
   std::uint64_t read_varint();
+  /// A varint that must fit the 32-bit `field`; fails otherwise.
+  std::uint32_t read_u32(const char* field);
   double read_f64();
 
   ChunkReader container_;

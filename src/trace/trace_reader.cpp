@@ -25,8 +25,9 @@ TraceReader::TraceReader(const std::string& path)
 }
 
 bool TraceReader::next(tx::Transaction& out) {
-  // One compare per transaction: the cursor stays inside the loaded chunk.
-  if (next_index_ - chunk_first_ >= chunk_count_) return next_slow(out);
+  // One compare per transaction: the cursor stays inside the loaded chunk,
+  // short of its last transaction, which next_slow() decodes and checks.
+  if (next_index_ - chunk_first_ >= chunk_fast_) return next_slow(out);
   decode(out);
   return true;
 }
@@ -44,18 +45,28 @@ bool TraceReader::next_slow(tx::Transaction& out) {
     }
     return true;
   }
-  // v2: load the chunk holding the target (sequential reads land on the
-  // next chunk; a fresh seek may land anywhere) and skip a mid-chunk
-  // seek's intra-chunk prefix.
-  const std::uint64_t target = next_index_;
-  const std::size_t chunk = container_.find(target);
-  payload_ = container_.load(chunk);
-  cursor_ = 0;
-  chunk_first_ = container_.chunks()[chunk].first_index;
-  chunk_count_ = container_.chunks()[chunk].count;
-  next_index_ = chunk_first_;
-  skip_to(target);
+  // v2: outside the loaded chunk, load the chunk holding the target
+  // (sequential reads land on the next chunk; a fresh seek may land
+  // anywhere) and skip a mid-chunk seek's intra-chunk prefix.
+  if (next_index_ - chunk_first_ >= chunk_count_) {
+    const std::uint64_t target = next_index_;
+    const std::size_t chunk = container_.find(target);
+    payload_ = container_.load(chunk);
+    cursor_ = 0;
+    chunk_first_ = container_.chunks()[chunk].first_index;
+    chunk_count_ = container_.chunks()[chunk].count;
+    chunk_fast_ = chunk_count_ - 1;
+    next_index_ = chunk_first_;
+    skip_to(target);
+  }
   decode(out);
+  // The chunk's last transaction: like flat v1's body, a v2 payload holds
+  // exactly its `count` transactions and nothing after them.
+  if (next_index_ - chunk_first_ == chunk_count_ &&
+      cursor_ != payload_.size()) {
+    container_.fail("trailing bytes after the last transaction of the chunk "
+                    "starting at transaction " + std::to_string(chunk_first_));
+  }
   return true;
 }
 
@@ -88,6 +99,7 @@ void TraceReader::seek(std::uint64_t index) {
     return;
   }
   chunk_count_ = 0;
+  chunk_fast_ = 0;
   next_index_ = index;
 }
 

@@ -60,8 +60,9 @@ class TraceReader {
 
   /// Decodes the next transaction (absolute indices; parent references are
   /// absolute too). Returns false at end of trace. Throws
-  /// std::runtime_error on a damaged chunk frame (see ChunkReader::load),
-  /// or a transaction the body codec rejects (tx::decode_transaction).
+  /// std::runtime_error on a damaged chunk frame (see ChunkReader::load), a
+  /// transaction the body codec rejects (tx::decode_transaction), or bytes
+  /// after a chunk's (v1: the body's) last transaction.
   bool next(tx::Transaction& out);
 
   /// Repositions the cursor so the next next() yields `index` (== size()
@@ -81,10 +82,14 @@ class TraceReader {
   // Decode cursor over payload_: for v2 the loaded chunk's payload, whose
   // transactions are [chunk_first_, chunk_first_ + chunk_count_); for v1 the
   // whole body, with chunk_count_ == 0 so every next() takes next_slow().
+  // chunk_fast_ is chunk_count_ - 1 (0 with no chunk loaded): those
+  // transactions decode on next()'s fast path, and the chunk's last takes
+  // next_slow(), which checks that the payload ends with it.
   std::span<const std::uint8_t> payload_;
   std::size_t cursor_ = 0;
   std::uint64_t chunk_first_ = 0;
   std::uint64_t chunk_count_ = 0;
+  std::uint64_t chunk_fast_ = 0;
   std::uint64_t next_index_ = 0;
   tx::Transaction skip_scratch_;  ///< decode target for seek's skips
 };

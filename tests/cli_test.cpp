@@ -1,7 +1,9 @@
-// End-to-end checks of the `optchain` command-line tool, run as a child
-// process: a nonsense simulation or placement setting, or a flag the command
-// does not read, must exit 1 with a message that names the offending field
-// or flag, not abort and not fall back to a default.
+// End-to-end checks of the command-line tools, run as child processes: a
+// nonsense simulation, placement or partition setting, or a flag the
+// command does not read, must exit with the tool's error code and a message
+// that names the offending field or flag, not abort and not fall back to a
+// default. `optchain` exits 1; optchain-serve, bench-diff and bench_scale
+// exit 2 (bench-diff uses 1 for "regressed").
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -18,11 +20,10 @@ struct Outcome {
   std::string stderr_text;
 };
 
-/// Runs `optchain <args>` through the shell, discarding stdout.
-Outcome run_cli(const std::string& args) {
+/// Runs `<tool> <args>` through the shell, discarding stdout.
+Outcome run_tool(const std::string& tool, const std::string& args) {
   const std::string err_path = ::testing::TempDir() + "/cli_test.stderr";
-  const std::string command =
-      std::string(OPTCHAIN_CLI) + " " + args + " >/dev/null 2>" + err_path;
+  const std::string command = tool + " " + args + " >/dev/null 2>" + err_path;
   const int status = std::system(command.c_str());
   Outcome outcome;
   if (WIFEXITED(status)) outcome.exit_code = WEXITSTATUS(status);
@@ -33,6 +34,11 @@ Outcome run_cli(const std::string& args) {
   outcome.stderr_text = text.str();
   std::remove(err_path.c_str());
   return outcome;
+}
+
+/// Runs `optchain <args>`.
+Outcome run_cli(const std::string& args) {
+  return run_tool(OPTCHAIN_CLI, args);
 }
 
 TEST(CliSimulateTest, BadSettingsExitOneNamingTheField) {
@@ -85,6 +91,36 @@ TEST(CliPlaceTest, ZeroShardsExitsOneNamingTheField) {
   std::remove(trace.c_str());
 }
 
+TEST(CliPartitionTest, BadSettingsExitOneNamingTheField) {
+  const std::string trace = ::testing::TempDir() + "/cli_test_partition.optx";
+  ASSERT_EQ(run_cli("generate --txs=500 --seed=5 --out=" + trace).exit_code,
+            0);
+  const std::string partition = "partition --in=" + trace + " ";
+  EXPECT_EQ(run_cli(partition + "--shards=4").exit_code, 0);
+  // So large a bound binds nothing; it must not overflow on the way.
+  EXPECT_EQ(run_cli(partition + "--shards=4 --epsilon=1e300").exit_code, 0);
+
+  struct Bad {
+    const char* flags;
+    const char* field;
+  };
+  const Bad cases[] = {
+      {"--shards=0", "PartitionConfig: k "},
+      {"--epsilon=-1", "PartitionConfig: imbalance "},
+      {"--epsilon=nan", "PartitionConfig: imbalance "},
+      {"--epsilon=inf", "PartitionConfig: imbalance "},
+  };
+  for (const Bad& bad : cases) {
+    const Outcome outcome = run_cli(partition + bad.flags);
+    EXPECT_EQ(outcome.exit_code, 1) << bad.flags << '\n'
+                                    << outcome.stderr_text;
+    EXPECT_NE(outcome.stderr_text.find(bad.field), std::string::npos)
+        << bad.flags << '\n'
+        << outcome.stderr_text;
+  }
+  std::remove(trace.c_str());
+}
+
 TEST(CliFlagsTest, UnknownFlagExitsOneNamingIt) {
   const std::string trace = ::testing::TempDir() + "/cli_test_flags.optx";
   ASSERT_EQ(run_cli("generate --txs=500 --seed=5 --out=" + trace).exit_code,
@@ -100,6 +136,56 @@ TEST(CliFlagsTest, UnknownFlagExitsOneNamingIt) {
         << outcome.stderr_text;
   }
   std::remove(trace.c_str());
+}
+
+/// `tool <args> --no_such=1` exits 2, naming the flag, before it opens a
+/// file or starts any work.
+void expect_unknown_flag_refused(const std::string& tool,
+                                 const std::string& args) {
+  const Outcome outcome = run_tool(tool, args + " --no_such=1");
+  EXPECT_EQ(outcome.exit_code, 2) << tool << '\n' << outcome.stderr_text;
+  EXPECT_NE(outcome.stderr_text.find("unknown flag --no_such\n"),
+            std::string::npos)
+      << tool << '\n'
+      << outcome.stderr_text;
+}
+
+TEST(CliFlagsTest, ServeRefusesUnknownFlags) {
+  expect_unknown_flag_refused(OPTCHAIN_SERVE, "--trace=snapshot.optx");
+  // The flags CI passes get past the check: the run fails only on the
+  // missing trace.
+  const Outcome outcome = run_tool(
+      OPTCHAIN_SERVE,
+      "--trace=" + ::testing::TempDir() + "/cli_test_missing.optx " +
+          "--duration=5s --snapshot=2 --out=" + ::testing::TempDir() +
+          "/cli_test_serve.json");
+  EXPECT_EQ(outcome.exit_code, 2) << outcome.stderr_text;
+  EXPECT_EQ(outcome.stderr_text.find("unknown flag"), std::string::npos)
+      << outcome.stderr_text;
+}
+
+TEST(CliFlagsTest, BenchDiffRefusesUnknownFlags) {
+  expect_unknown_flag_refused(BENCH_DIFF,
+                              "--baseline=a.json --current=b.json");
+  // The flags CI passes get past the check: the run fails only on the
+  // missing files.
+  const Outcome outcome = run_tool(
+      BENCH_DIFF, "--baseline=" + ::testing::TempDir() +
+                      "/cli_test_missing.json --current=b.json --warn=0.1 "
+                      "--fail=0.25");
+  EXPECT_EQ(outcome.exit_code, 2) << outcome.stderr_text;
+  EXPECT_NE(outcome.stderr_text.find("cannot open"), std::string::npos)
+      << outcome.stderr_text;
+}
+
+TEST(CliFlagsTest, BenchScaleRefusesUnknownFlags) {
+#ifdef BENCH_SCALE
+  expect_unknown_flag_refused(BENCH_SCALE,
+                              "--smoke --txs=1000 --sim_txs=200 --out=" +
+                                  ::testing::TempDir() + "/cli_test.json");
+#else
+  GTEST_SKIP() << "bench_scale is not built (OPTCHAIN_BUILD_BENCH=OFF)";
+#endif
 }
 
 }  // namespace

@@ -11,6 +11,10 @@
 // std::out_of_range, a logic_error. The suite is labelled `unit`, so the
 // ASan+UBSan job runs it too and turns an out-of-bounds read or undefined
 // behaviour on any mutant into a failure.
+//
+// Two targeted re-sealed mutants pin refusals that random damage rarely
+// reaches: bytes after a chunk's last record, and an OTRC tx or shard id
+// past 32 bits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -376,6 +380,77 @@ TEST(DecoderMutationTest, EveryMutantDecodesOrThrowsRuntimeError) {
     EXPECT_GT(refused, 0) << format.name;
     std::printf("%-9s %d mutants: %d decoded, %d refused\n", format.name,
                 kMutants, decoded, refused);
+  }
+  std::remove(path.c_str());
+}
+
+// A chunk payload with one byte after its `count` records, re-sealed so the
+// frame and checksum hold: OPTX v2 and OTRC refuse it as flat v1 refuses
+// bytes after its body. Damage to the first chunk and to the last.
+TEST(DecoderMutationTest, TrailingPayloadBytesAreRefused) {
+  const std::string path = temp_path("trailing");
+  for (const Format& format : {optx_v2(), otrace()}) {
+    ASSERT_GT(format.payloads.size(), 1u) << format.name;
+    const std::size_t last = format.payloads.size() - 1;
+    for (const std::size_t chunk : {std::size_t{0}, last}) {
+      Bytes payload = format.payloads[chunk];
+      payload.push_back(0);
+      spit(path, reseal(format, chunk, payload));
+      EXPECT_THROW(format.decode(path), std::runtime_error)
+          << format.name << " chunk " << chunk;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+/// A one-record OTRC file: `type`, the varint `id` (a tx or a shard), then
+/// `tail` zero bytes for the record's remaining fields, framed and
+/// checksummed by the chunk writer.
+Bytes sealed_otrace_record(obs::TraceRecordType type, std::uint64_t id,
+                           std::size_t tail) {
+  Bytes record = {static_cast<std::uint8_t>(type)};
+  tx::write_varint(record, id);
+  record.resize(record.size() + tail, 0);
+  const std::string path = temp_path("sealed.otrace");
+  {
+    ChunkWriter writer(path, obs::kOtraceFormat, 8, "mutation");
+    writer.payload() = record;
+    writer.end_record();
+    writer.finish();
+  }
+  return slurp(path);
+}
+
+// OTRC tx and shard ids are 32-bit. A varint past 2^32 is refused, not
+// narrowed: tx 2^32 + 5 used to read back as tx 5.
+TEST(DecoderMutationTest, OutOfRangeOtraceIdsAreRefused) {
+  using obs::TraceRecordType;
+  struct Site {
+    TraceRecordType type;
+    std::size_t tail;  // bytes after the id: f64s, flags, zero varints
+  };
+  const Site sites[] = {
+      {TraceRecordType::kIssue, 9},       {TraceRecordType::kCommit, 16},
+      {TraceRecordType::kAbort, 8},       {TraceRecordType::kBlock, 8},
+      {TraceRecordType::kShardChange, 11},
+  };
+  const std::string path = temp_path("narrowed.otrace");
+  for (const Site& site : sites) {
+    const auto type = static_cast<unsigned>(site.type);
+    // In range, the same record decodes to the id it carries.
+    spit(path, sealed_otrace_record(site.type, 5, site.tail));
+    obs::OtraceReader reader(path);
+    obs::TraceRecord record;
+    ASSERT_TRUE(reader.next(record)) << type;
+    EXPECT_EQ(record.type, site.type);
+    EXPECT_EQ(record.tx + record.shard, 5u) << type;
+    EXPECT_FALSE(reader.next(record)) << type;
+
+    for (const std::uint64_t id : {1ULL << 32, (1ULL << 32) + 5}) {
+      spit(path, sealed_otrace_record(site.type, id, site.tail));
+      EXPECT_THROW(obs::OtraceReader(path).summarize(), std::runtime_error)
+          << "type " << type << ", id " << id;
+    }
   }
   std::remove(path.c_str());
 }

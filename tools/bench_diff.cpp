@@ -12,7 +12,8 @@
 // throughput ("simulation" → "events_per_s"). A regression above --warn
 // (default 10%) prints a warning; above --fail (default 25%) the tool exits
 // 1. Improvements always pass — the gate is one-sided. Wall-clock noise is
-// why the warn band is wide and only the fail band is enforced.
+// why the warn band is wide and only the fail band is enforced. An unknown
+// flag, like any other error, exits 2.
 //
 // The extractor is a deliberately tolerant scanner (find the section key,
 // then the metric key after it) rather than a JSON parser — the repo has no
@@ -24,10 +25,15 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "common/flags.hpp"
 
 namespace {
+
+/// The flags the gate reads; Flags::reject_unknown refuses any other.
+constexpr std::string_view kDiffFlags[] = {"baseline", "current", "warn",
+                                           "fail"};
 
 std::string read_file(const std::string& path) {
   std::ifstream file(path, std::ios::binary);
@@ -68,6 +74,7 @@ double extract(const std::string& json, const std::string& section_key,
 int main(int argc, char** argv) {
   try {
     const optchain::Flags flags(argc, argv);
+    flags.reject_unknown({kDiffFlags});
     const std::string baseline_path = flags.get_string("baseline", "");
     const std::string current_path = flags.get_string("current", "");
     if (baseline_path.empty() || current_path.empty()) {

@@ -28,6 +28,8 @@
 //                      seconds while serving (0 = off, default 0)
 //   --out=PATH         JSON report path (default BENCH_serve.json)
 //
+// Any other flag exits 2 naming it, like every other error.
+//
 // All counters, rates and latency percentiles flow through one
 // obs::MetricsRegistry — the final BENCH_serve.json and the periodic
 // --snapshot exposition read the same instruments.
@@ -40,6 +42,7 @@
 #include <exception>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
@@ -54,6 +57,11 @@ namespace {
 /// percentiles describe (perfbench's placement workloads use the same size).
 constexpr std::size_t kBatchTxs = 512;
 
+/// The flags the daemon reads; Flags::reject_unknown refuses any other.
+constexpr std::string_view kServeFlags[] = {
+    "trace", "begin", "end", "method", "shards",
+    "seed", "duration", "stream", "snapshot", "out"};
+
 volatile std::sig_atomic_t g_stop = 0;
 
 void handle_signal(int) { g_stop = 1; }
@@ -64,6 +72,7 @@ int main(int argc, char** argv) {
   using clock = std::chrono::steady_clock;
   try {
     const optchain::Flags flags(argc, argv);
+    flags.reject_unknown({kServeFlags});
     const std::string trace_path = flags.get_string("trace", "");
     if (trace_path.empty()) {
       std::fprintf(stderr,
