@@ -4,6 +4,8 @@
 // it, along with the substrate costs.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
 
 #include "api/placement_pipeline.hpp"
@@ -121,7 +123,10 @@ struct NullHandler final : sim::EventHandler {
 };
 
 /// schedule + dispatch of one typed POD event (no allocation, no indirect
-/// closure call). Arg = number of events already pending in the heap.
+/// closure call). Arg = number of events already pending in the heap. The
+/// event goes through the heap in front of all of them, so it sifts up to
+/// the root and is popped straight back: the pattern the held slot spares
+/// the engine's issue chain (BM_EventQueueHeldIssue).
 void BM_EventQueue(benchmark::State& state) {
   const auto depth = static_cast<std::size_t>(state.range(0));
   sim::EventQueue queue;
@@ -137,7 +142,64 @@ void BM_EventQueue(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1024);
+BENCHMARK(BM_EventQueue)->Arg(0)->Arg(1024)->Arg(2048);
+
+/// Shard messages at random delays (uniform in [0, 1) s): the heap traffic
+/// left to the engine once issues are held.
+struct RandomMessages {
+  explicit RandomMessages(std::uint64_t seed) {
+    Rng rng(seed);
+    for (double& delay : delays) delay = rng.uniform(0.0, 1.0);
+  }
+  sim::Event next() {
+    ++count;
+    return sim::Event::deliver(sim::EventType::kTxDeliver,
+                               static_cast<std::uint32_t>(count % 16),
+                               static_cast<std::uint32_t>(count));
+  }
+  double delay() { return delays[count % delays.size()]; }
+
+  std::array<double, 4096> delays{};
+  std::uint64_t count = 0;
+};
+
+/// The engine's remaining heap traffic: Arg events pending at random delays,
+/// each pop scheduling one replacement at a random delay. Items = pops.
+void BM_EventQueueSteady(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue queue;
+  NullHandler handler;
+  RandomMessages messages(11);
+  for (std::size_t i = 0; i < depth; ++i) {
+    queue.schedule_in(messages.delay(), messages.next());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(queue.run_one(handler));
+    queue.schedule_in(messages.delay(), messages.next());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueSteady)->Arg(2048);
+
+/// BM_EventQueue's pattern through the held slot: an issue held in front
+/// of Arg events pending at random delays, then dispatched.
+void BM_EventQueueHeldIssue(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  sim::EventQueue queue;
+  NullHandler handler;
+  RandomMessages messages(11);
+  for (std::size_t i = 0; i < depth; ++i) {
+    queue.schedule(1e12 + messages.delay(), messages.next());
+  }
+  double t = 0.0;
+  for (auto _ : state) {
+    queue.schedule_chained(t + 1.0, sim::Event::tx_issue(0));
+    benchmark::DoNotOptimize(queue.run_one(handler));
+    t += 1.0;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_EventQueueHeldIssue)->Arg(0)->Arg(2048);
 
 /// The sequential engine's lock/spend ledger (sim::ParentIndexedLedger) in
 /// the engine's order over a generated 150k-transaction stream: each

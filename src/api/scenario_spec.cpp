@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "trace/trace_reader.hpp"
 
@@ -24,12 +25,58 @@ std::uint64_t ScenarioSpec::stream_length(double rate_tps) const noexcept {
   return sized < 1.0 ? 1 : static_cast<std::uint64_t>(sized);
 }
 
-Sweep ScenarioSpec::expand() const {
-  if (methods.empty()) throw std::invalid_argument("ScenarioSpec: no methods");
-  if (seeds.empty()) throw std::invalid_argument("ScenarioSpec: no seeds");
-  if (replicas == 0) throw std::invalid_argument("ScenarioSpec: replicas==0");
-  if (pairings.empty() && (shards.empty() || rates.empty())) {
-    throw std::invalid_argument("ScenarioSpec: empty shard/rate axis");
+void ScenarioSpec::validate() const {
+  const auto reject = [](const std::string& field, const std::string& rule,
+                         const std::string& got) {
+    throw std::invalid_argument("ScenarioSpec: " + field + " must be " +
+                                rule + " (got " + got + ")");
+  };
+  const auto positive = [](double value) {
+    return value > 0.0 && std::isfinite(value);
+  };
+  using std::to_string;
+  if (methods.empty()) reject("methods", "non-empty", "none");
+  if (seeds.empty()) reject("seeds", "non-empty", "none");
+  if (replicas == 0) reject("replicas", ">= 1", "0");
+  if (pairings.empty()) {
+    if (shards.empty()) reject("shards", "non-empty", "none");
+    if (rates.empty()) reject("rates", "non-empty", "none");
+  }
+  for (const std::uint32_t k : shards) {
+    if (k == 0) reject("shards", ">= 1 each", "0");
+  }
+  for (const double rate : rates) {
+    if (!positive(rate)) reject("rates", "positive and finite", to_string(rate));
+  }
+  for (const OperatingPoint& point : pairings) {
+    if (point.shards == 0) reject("pairings.shards", ">= 1", "0");
+    if (!positive(point.rate_tps)) {
+      reject("pairings.rate_tps", "positive and finite",
+             to_string(point.rate_tps));
+    }
+  }
+  if (!positive(issue_seconds)) {
+    reject("issue_seconds", "positive and finite", to_string(issue_seconds));
+  }
+  constexpr std::uint64_t kMaxTxs = std::uint64_t{1} << 32;  // 32-bit TxIndex
+  if (txs >= kMaxTxs) {
+    reject("txs", "below 2^32 (transaction indices are 32-bit)",
+           to_string(txs));
+  }
+  // Without `txs`, each generated cell streams rate × issue_seconds
+  // transactions (stream_length), under the same bound.
+  if (txs == 0 && workload != WorkloadKind::kTrace) {
+    double fastest = 0.0;
+    for (const double rate : rates) fastest = std::max(fastest, rate);
+    for (const OperatingPoint& point : pairings) {
+      fastest = std::max(fastest, point.rate_tps);
+    }
+    if (fastest * issue_seconds >= static_cast<double>(kMaxTxs)) {
+      reject("issue_seconds",
+             "short enough that rate * issue_seconds stays below 2^32 "
+             "transactions",
+             to_string(issue_seconds));
+    }
   }
   if (!churn.empty() && mode == RunMode::kPlace) {
     throw std::invalid_argument(
@@ -53,13 +100,7 @@ Sweep ScenarioSpec::expand() const {
         "warm prefix (warm_ratio > 0)");
   }
   dynamic.validate();
-  fabric.validate();  // reject broken fabric configs before any cell runs
-
-  // Trace replay: resolve the window against the container once — the
-  // import happened offline, exactly once, and every cell and replica below
-  // shares the same file. Opening a v2 trace reads only the header and the
-  // footer index (O(1) in the trace length).
-  TraceReplay window = trace;
+  fabric.validate();
   if (workload == WorkloadKind::kTrace) {
     if (trace.path.empty()) {
       throw std::invalid_argument(
@@ -71,6 +112,18 @@ Sweep ScenarioSpec::expand() const {
           "ScenarioSpec: a Metis warm prefix (warm_ratio > 0) needs a "
           "materialized generator stream, not a trace replay");
     }
+  }
+}
+
+Sweep ScenarioSpec::expand() const {
+  validate();  // reject a broken grid before any cell is built or run
+
+  // Trace replay: resolve the window against the container once — the
+  // import happened offline, exactly once, and every cell and replica below
+  // shares the same file. Opening a v2 trace reads only the header and the
+  // footer index (O(1) in the trace length).
+  TraceReplay window = trace;
+  if (workload == WorkloadKind::kTrace) {
     trace::TraceReader reader(trace.path);
     window.end = trace.end == 0 ? reader.size() : trace.end;
     if (window.end > reader.size() || window.begin >= window.end) {

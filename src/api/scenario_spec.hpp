@@ -160,8 +160,17 @@ struct ScenarioSpec {
   /// Stream length of a cell at `rate_tps` (excluding any warm prefix).
   std::uint64_t stream_length(double rate_tps) const noexcept;
 
+  /// Throws std::invalid_argument naming the field when the grid is
+  /// nonsense: an empty axis, replicas == 0, a shard count of 0, a rate or
+  /// issue_seconds that is not positive and finite, a cell of 2^32 or more
+  /// transactions (by txs, or by rate × issue_seconds when txs is 0;
+  /// transaction indices are 32-bit), or knobs that need the simulator or
+  /// exclude one another. expand() calls it first; it reads no file.
+  void validate() const;
+
   /// Expands the axes into num_cells() × replicas self-contained cells.
-  /// Throws std::invalid_argument on an empty axis or replicas == 0.
+  /// Calls validate() first, then resolves a trace window against its file;
+  /// throws std::invalid_argument on either failure.
   Sweep expand() const;
 };
 

@@ -20,9 +20,9 @@
 // ui.perfetto.dev.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "obs/otrace_format.hpp"
 #include "sim/sim_observer.hpp"
@@ -78,7 +78,13 @@ class RunTracer final : public sim::SimObserver {
   std::uint64_t total() const noexcept { return writer_.total(); }
 
  private:
-  std::vector<std::uint8_t>& begin_record(TraceRecordType type);
+  /// Reserves room for a record of at most 1 + `max_body_bytes` bytes in
+  /// the chunk payload, writes its type tag, and returns where its body
+  /// goes. Throws std::runtime_error after finish().
+  std::uint8_t* begin_record(TraceRecordType type, std::size_t max_body_bytes);
+  /// Trims the payload to end just past the record's body (`end`) and
+  /// counts the record.
+  void end_record(const std::uint8_t* end);
 
   ChunkWriter writer_;
 };

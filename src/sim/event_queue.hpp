@@ -16,6 +16,23 @@
 // membership change at time t precedes t's traffic), then re-partition
 // ticks, then queue sampling, then client issues, then message/round events.
 //
+// One event may wait beside the heap instead of in it: the held slot
+// (schedule_chained) is for a chain that keeps exactly one event pending and
+// reschedules it from its own dispatch, the client's issue chain. Issues come
+// every 1/rate seconds, ahead of thousands of pending protocol events, so in
+// the heap each one would sift up to the root and be popped straight back
+// out. The held event draws its sequence number from the same counter as
+// schedule(), and run_one() dispatches it whenever it is earlier, in the same
+// (time, content, sequence) order, than the heap's root, so the dispatch
+// order is exactly what one heap would give. pending() and peak_pending()
+// count it.
+//
+// Pops are bottom-up (Floyd): the hole left at the root walks down to a leaf
+// along the smaller child, one comparison per level, and the heap's last
+// entry then sifts up from that leaf. The order is strict and total
+// (sequence numbers are unique), so the popped sequence does not depend on
+// how the entries are arranged inside the heap.
+//
 // The queue stores *data*, not closures: a 10M-transaction run schedules
 // tens of millions of events, and a std::function per event means a heap
 // allocation (and an indirect call) per event. An Event is a small tagged
@@ -147,9 +164,9 @@ class EventQueue {
   /// Schedules `event` at absolute time `at` (must not precede now()).
   void schedule(SimTime at, const Event& event) {
     OPTCHAIN_EXPECTS(at >= now_);
-    heap_.push_back(Entry{at, next_seq_++, event});
-    if (heap_.size() > 1) sift_up(heap_.size() - 1);
-    if (heap_.size() > peak_pending_) peak_pending_ = heap_.size();
+    heap_.emplace_back();
+    sift_up(heap_.size() - 1, Entry{at, next_seq_++, event});
+    note_pending();
   }
 
   /// Schedules `event` `delay` seconds from now.
@@ -157,48 +174,57 @@ class EventQueue {
     schedule(now_ + delay, event);
   }
 
-  bool empty() const noexcept { return heap_.empty(); }
-  std::size_t pending() const noexcept { return heap_.size(); }
+  /// Holds `event` at `at` in the held slot beside the heap (see the file
+  /// comment): for the one pending event of a chain that reschedules itself
+  /// from its own dispatch. At most one event may be held at a time, and
+  /// `at` must not precede now(). Dispatch order is the same as schedule()'s.
+  void schedule_chained(SimTime at, const Event& event) {
+    OPTCHAIN_EXPECTS(!held_.has_value());
+    OPTCHAIN_EXPECTS(at >= now_);
+    held_.emplace(Entry{at, next_seq_++, event});
+    note_pending();
+  }
+
+  bool empty() const noexcept { return heap_.empty() && !held_.has_value(); }
+  /// Pending events, the held one included.
+  std::size_t pending() const noexcept {
+    return heap_.size() + (held_.has_value() ? 1 : 0);
+  }
   SimTime now() const noexcept { return now_; }
 
-  /// Largest number of events ever pending at once — the heap's true working
-  /// set, reported by bench_scale as the engine's memory-shape baseline.
+  /// Largest number of events ever pending at once (the held one included)
+  /// — the queue's true working set, reported by bench_scale as the
+  /// engine's memory-shape baseline.
   std::size_t peak_pending() const noexcept { return peak_pending_; }
 
   /// Pre-sizes the heap (steady-state runs then never reallocate it).
   void reserve(std::size_t events) { heap_.reserve(events); }
 
-  /// Pops the earliest event, advances now(), and hands it to `handler`.
-  /// Returns false when the queue is empty. Inline (with the sifts) so the
-  /// per-event cost is a handful of instructions — and so a `final` handler
-  /// devirtualizes the dispatch entirely.
+  /// Pops the earliest event (the held one or the heap's root), advances
+  /// now(), and hands it to `handler`. Returns false when the queue is
+  /// empty. Inline (with the sifts) so the per-event cost is a handful of
+  /// instructions — and so a `final` handler devirtualizes the dispatch
+  /// entirely.
   bool run_one(EventHandler& handler) {
-    if (heap_.empty()) return false;
     // Copy out only what outlives the pop (the seq number is dead here).
-    const SimTime time = heap_.front().time;
-    const Event event = heap_.front().event;
-    if (heap_.size() > 1) {
-      heap_.front() = heap_.back();
-      heap_.pop_back();
-      sift_down(0);
+    SimTime time = 0.0;
+    Event event;
+    if (held_.has_value() &&
+        (heap_.empty() || earlier(*held_, heap_.front()))) {
+      time = held_->time;
+      event = held_->event;
+      held_.reset();
+    } else if (!heap_.empty()) {
+      time = heap_.front().time;
+      event = heap_.front().event;
+      pop_root();
     } else {
-      heap_.pop_back();
+      return false;
     }
     OPTCHAIN_ASSERT(time >= now_);
     now_ = time;
     handler.on_event(event);
     return true;
-  }
-
-  /// Runs until the queue drains or the next event would exceed `horizon`.
-  /// Returns the number of events executed.
-  std::uint64_t run_until(SimTime horizon, EventHandler& handler) {
-    std::uint64_t executed = 0;
-    while (!heap_.empty() && heap_.front().time <= horizon) {
-      run_one(handler);
-      ++executed;
-    }
-    return executed;
   }
 
  private:
@@ -214,8 +240,13 @@ class EventQueue {
     return a.seq < b.seq;
   }
 
-  void sift_up(std::size_t i) noexcept {
-    const Entry moved = heap_[i];
+  void note_pending() noexcept {
+    const std::size_t count = pending();
+    if (count > peak_pending_) peak_pending_ = count;
+  }
+
+  /// Fills the hole at `i` with `moved`, moving it up past later parents.
+  void sift_up(std::size_t i, const Entry& moved) noexcept {
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
       if (!earlier(moved, heap_[parent])) break;
@@ -225,23 +256,32 @@ class EventQueue {
     heap_[i] = moved;
   }
 
-  void sift_down(std::size_t i) noexcept {
-    const std::size_t n = heap_.size();
-    const Entry moved = heap_[i];
-    while (true) {
-      std::size_t child = 2 * i + 1;
-      if (child >= n) break;
-      if (child + 1 < n && earlier(heap_[child + 1], heap_[child])) ++child;
-      if (!earlier(heap_[child], moved)) break;
-      heap_[i] = heap_[child];
-      i = child;
+  /// Removes the root bottom-up (see the file comment).
+  void pop_root() noexcept {
+    const std::size_t last = heap_.size() - 1;
+    if (last == 0) {
+      heap_.pop_back();
+      return;
     }
-    heap_[i] = moved;
+    std::size_t hole = 0;
+    std::size_t child = 1;
+    while (child < last) {
+      if (child + 1 < last && earlier(heap_[child + 1], heap_[child])) {
+        ++child;
+      }
+      heap_[hole] = heap_[child];
+      hole = child;
+      child = 2 * hole + 1;
+    }
+    const Entry moved = heap_[last];
+    heap_.pop_back();
+    sift_up(hole, moved);
   }
 
   // Min-heap over (time, content, seq) in a flat vector: reservable, POD
   // moves only.
   std::vector<Entry> heap_;
+  std::optional<Entry> held_;  // the held chain event, if any
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
   std::size_t peak_pending_ = 0;

@@ -216,10 +216,11 @@ SimResult Simulation::run(workload::TxSource& source,
   // The issue chain pulls one transaction ahead: the prefetched transaction
   // is what the pending kTxIssue event will issue, and its existence is what
   // tells us whether to chain another issue event (the stream length need
-  // not be known).
+  // not be known). The pending issue waits in the queue's held slot, never
+  // in the heap (EventQueue::schedule_chained).
   staged_valid_ = source_->next(staged_);
   if (staged_valid_) {
-    events_.schedule(0.0, Event::tx_issue(0));
+    events_.schedule_chained(0.0, Event::tx_issue(0));
   }
   // Periodic queue sampling (Figs. 6-7); stops once everything committed.
   events_.schedule(0.0, Event::queue_sample());
@@ -422,7 +423,7 @@ void Simulation::issue_transaction(std::uint32_t index) {
   if (staged_valid_) {
     const double next_time =
         source_->issue_time(index + 1, config_.tx_rate_tps);
-    events_.schedule(next_time, Event::tx_issue(index + 1));
+    events_.schedule_chained(next_time, Event::tx_issue(index + 1));
   }
 }
 

@@ -141,8 +141,9 @@ struct SimResult {
 
   /// Memory-shape diagnostics. `shard_event_counts[s]` counts the
   /// shard-addressed events (deliveries, proofs, round completions,
-  /// unlocks) dispatched for shard s. `event_heap_peak` is the deepest the
-  /// event heap got during the run.
+  /// unlocks) dispatched for shard s. `event_heap_peak` is the most events
+  /// ever pending at once during the run (EventQueue::peak_pending): the
+  /// heap plus the held next issue.
   std::uint64_t event_heap_peak = 0;
   std::vector<std::uint64_t> shard_event_counts;
 

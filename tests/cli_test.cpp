@@ -2,8 +2,8 @@
 // nonsense simulation, placement or partition setting, or a flag the
 // command does not read, must exit with the tool's error code and a message
 // that names the offending field or flag, not abort and not fall back to a
-// default. `optchain` exits 1; optchain-serve, bench-diff and bench_scale
-// exit 2 (bench-diff uses 1 for "regressed").
+// default. `optchain` and `optchain-bench` exit 1; optchain-serve,
+// bench-diff and bench_scale exit 2 (bench-diff uses 1 for "regressed").
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
@@ -176,6 +176,21 @@ TEST(CliFlagsTest, BenchDiffRefusesUnknownFlags) {
   EXPECT_EQ(outcome.exit_code, 2) << outcome.stderr_text;
   EXPECT_NE(outcome.stderr_text.find("cannot open"), std::string::npos)
       << outcome.stderr_text;
+}
+
+TEST(CliBenchTest, BadIssueWindowExitsOneNamingTheField) {
+#ifdef OPTCHAIN_BENCH
+  const std::string fig4 = "fig4 --smoke --methods=OmniLedger --issue_seconds=";
+  EXPECT_EQ(run_tool(OPTCHAIN_BENCH, fig4 + "0.2").exit_code, 0);
+  for (const char* value : {"-1", "0", "nan", "inf"}) {
+    const Outcome outcome = run_tool(OPTCHAIN_BENCH, fig4 + value);
+    EXPECT_EQ(outcome.exit_code, 1) << value << ": " << outcome.stderr_text;
+    EXPECT_NE(outcome.stderr_text.find("issue_seconds"), std::string::npos)
+        << value << ": " << outcome.stderr_text;
+  }
+#else
+  GTEST_SKIP() << "optchain-bench is not built (OPTCHAIN_BUILD_BENCH=OFF)";
+#endif
 }
 
 TEST(CliFlagsTest, BenchScaleRefusesUnknownFlags) {

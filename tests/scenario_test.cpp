@@ -4,6 +4,9 @@
 // own SimResult for a fixed seed).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -112,13 +115,76 @@ TEST(ScenarioSpecTest, WarmRatioSetsTheWarmPrefix) {
   EXPECT_EQ(sweep.cells[0].warm_txs, 3000u);
 }
 
-TEST(ScenarioSpecTest, EmptyAxesThrow) {
-  ScenarioSpec spec;
+/// Expects `spec.validate()` and `spec.expand()` to throw
+/// std::invalid_argument naming `field`.
+void expect_rejected(const ScenarioSpec& spec, const std::string& field) {
+  for (int call = 0; call < 2; ++call) {
+    try {
+      if (call == 0) {
+        spec.validate();
+      } else {
+        (void)spec.expand();
+      }
+      ADD_FAILURE() << field << " was accepted";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(field), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
+TEST(ScenarioSpecTest, ValidateNamesTheField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_NO_THROW(grid_spec().validate());
+  for (const double bad : {0.0, -1.0, nan, inf}) {
+    ScenarioSpec spec = grid_spec();
+    spec.issue_seconds = bad;
+    expect_rejected(spec, "issue_seconds");
+    spec = grid_spec();
+    spec.rates = {100.0, bad};
+    expect_rejected(spec, "rates");
+    spec = grid_spec();
+    spec.pairings = {{bad, 4}};
+    expect_rejected(spec, "pairings.rate_tps");
+  }
+  ScenarioSpec spec = grid_spec();
+  spec.shards = {4, 0};
+  expect_rejected(spec, "shards");
+  spec = grid_spec();
+  spec.pairings = {{100.0, 0}};
+  expect_rejected(spec, "pairings.shards");
+  spec = grid_spec();
+  spec.rates.clear();
+  expect_rejected(spec, "rates");
+  spec = grid_spec();
+  spec.seeds.clear();
+  expect_rejected(spec, "seeds");
+  spec = grid_spec();
   spec.methods.clear();
-  EXPECT_THROW(spec.expand(), std::invalid_argument);
-  spec = ScenarioSpec{};
+  expect_rejected(spec, "methods");
+  spec = grid_spec();
   spec.replicas = 0;
-  EXPECT_THROW(spec.expand(), std::invalid_argument);
+  expect_rejected(spec, "replicas");
+  // Transaction indices are 32-bit: a stream of 2^32 or more is refused
+  // before anything is sized from it.
+  spec = grid_spec();
+  spec.txs = std::uint64_t{1} << 32;
+  expect_rejected(spec, "txs");
+  spec.txs = ~std::uint64_t{0};
+  expect_rejected(spec, "txs");
+  spec.txs = (std::uint64_t{1} << 32) - 1;
+  EXPECT_NO_THROW(spec.validate());
+  // Without txs, a cell streams rate × issue_seconds transactions: the
+  // fastest rate (200 tps here) sets the bound.
+  spec.txs = 0;
+  spec.issue_seconds = 2.2e7;  // 4.4e9 at 200 tps
+  expect_rejected(spec, "issue_seconds");
+  spec.issue_seconds = 2.1e7;  // 4.2e9
+  EXPECT_NO_THROW(spec.validate());
+  spec.rates.clear();
+  spec.pairings = {{100.0, 4}, {250.0, 8}};  // 5.25e9 at 250 tps
+  expect_rejected(spec, "issue_seconds");
 }
 
 // ----------------------------------------------------------- SweepRunner

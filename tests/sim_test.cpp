@@ -9,9 +9,11 @@
 #include <limits>
 #include <memory>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
@@ -117,14 +119,187 @@ TEST(EventQueueTest, EventsMayScheduleEvents) {
   EXPECT_DOUBLE_EQ(queue.now(), 1.5);
 }
 
-TEST(EventQueueTest, RunUntilRespectsHorizon) {
+TEST(EventQueueTest, HeldEventCountsAsPending) {
   EventQueue queue;
   RecordingHandler handler(queue);
-  queue.schedule(1.0, Event::tx_issue(1));
-  queue.schedule(5.0, Event::tx_issue(2));
-  EXPECT_EQ(queue.run_until(2.0, handler), 1u);
-  EXPECT_EQ(handler.events.size(), 1u);
+  queue.schedule(2.0, Event::queue_sample());
+  queue.schedule_chained(1.0, Event::tx_issue(0));
+  EXPECT_FALSE(queue.empty());
+  EXPECT_EQ(queue.pending(), 2u);
+  EXPECT_EQ(queue.peak_pending(), 2u);
+  ASSERT_TRUE(queue.run_one(handler));
+  EXPECT_EQ(handler.events.back().type, EventType::kTxIssue);
   EXPECT_EQ(queue.pending(), 1u);
+  queue.run_one(handler);
+  // Held alone, with the heap empty, the chain still dispatches.
+  queue.schedule_chained(3.0, Event::tx_issue(1));
+  EXPECT_EQ(queue.pending(), 1u);
+  ASSERT_TRUE(queue.run_one(handler));
+  EXPECT_EQ(handler.events.back().tx, 1u);
+  EXPECT_TRUE(queue.empty());
+  EXPECT_FALSE(queue.run_one(handler));
+}
+
+/// Drives one queue the way the engine does, from a seeded script: every
+/// dispatched event schedules up to two follow-ups of any type, at delays on
+/// a coarse grid so that exact time ties across every tie rank are common,
+/// and each kTxIssue reschedules the next issue from its own dispatch —
+/// through the held slot or through schedule(). Both variants draw the same
+/// random numbers only as long as they dispatch the same events in the same
+/// order.
+struct ScriptedEngine final : EventHandler {
+  static constexpr std::uint32_t kIssues = 4000;
+  static constexpr std::uint64_t kFollowUps = 20000;
+
+  ScriptedEngine(EventQueue& queue, bool hold_issues)
+      : queue(&queue), hold_issues(hold_issues) {}
+
+  double delay() { return 0.25 * static_cast<double>(rng() % 9); }
+
+  Event random_event() {
+    const auto shard = static_cast<std::uint32_t>(rng() % 4);
+    const auto tx = static_cast<std::uint32_t>(rng() % 40);
+    switch (rng() % 10) {
+      case 0:
+        return Event::shard_change(tx % 3);
+      case 1:
+        return Event::repartition();
+      case 2:
+        return Event::queue_sample();
+      case 3:
+        return Event::deliver(EventType::kTxDeliver, shard, tx);
+      case 4:
+        return Event::deliver(EventType::kLockRequest, shard, tx);
+      case 5:
+        return Event::proof(tx, shard, rng() % 2 == 0);
+      case 6:
+        return Event::deliver(EventType::kUnlockCommit, shard, tx);
+      case 7:
+        return Event::deliver(EventType::kUnlockAbort, shard, tx);
+      default:
+        return Event::round_complete(shard, rng() % 2 == 0);
+    }
+  }
+
+  void schedule_issue(double at, std::uint32_t tx) {
+    if (hold_issues) {
+      queue->schedule_chained(at, Event::tx_issue(tx));
+    } else {
+      queue->schedule(at, Event::tx_issue(tx));
+    }
+  }
+
+  void on_event(const Event& event) override {
+    dispatched.emplace_back(queue->now(), event);
+    if (event.type == EventType::kTxIssue && event.tx + 1 < kIssues) {
+      schedule_issue(queue->now() + delay(), event.tx + 1);
+    }
+    const std::uint64_t fan_out = rng() % 3;
+    for (std::uint64_t i = 0; i < fan_out && follow_ups < kFollowUps; ++i) {
+      ++follow_ups;
+      queue->schedule(queue->now() + delay(), random_event());
+    }
+  }
+
+  EventQueue* queue;
+  bool hold_issues;
+  std::mt19937_64 rng{20261019};
+  std::uint64_t follow_ups = 0;
+  std::vector<std::pair<double, Event>> dispatched;
+};
+
+TEST(EventQueueTest, HeldIssueChainKeepsTheHeapOrder) {
+  EventQueue held_queue;
+  EventQueue plain_queue;
+  ScriptedEngine held(held_queue, /*hold_issues=*/true);
+  ScriptedEngine plain(plain_queue, /*hold_issues=*/false);
+  for (ScriptedEngine* engine : {&held, &plain}) {
+    engine->schedule_issue(0.0, 0);
+    // About the engine's pending depth at the paper's operating point.
+    for (int i = 0; i < 2048; ++i) {
+      engine->queue->schedule(engine->delay(), engine->random_event());
+    }
+    while (engine->queue->run_one(*engine)) {
+    }
+  }
+  ASSERT_GE(plain.dispatched.size(), 10000u);
+  ASSERT_EQ(held.dispatched.size(), plain.dispatched.size());
+  std::size_t issue_ties = 0;
+  for (std::size_t i = 0; i < plain.dispatched.size(); ++i) {
+    const auto& [time, event] = plain.dispatched[i];
+    const auto& [held_time, held_event] = held.dispatched[i];
+    ASSERT_EQ(held_time, time) << "event " << i;
+    ASSERT_EQ(content_order(held_event, event), 0) << "event " << i;
+    if (i > 0 && event.type == EventType::kTxIssue &&
+        plain.dispatched[i - 1].first == time) {
+      ++issue_ties;
+    }
+  }
+  // The script exercises what the order must settle: issues tied in time
+  // with events of a lower rank, dispatched after them.
+  EXPECT_GT(issue_ties, 100u);
+  EXPECT_EQ(held_queue.peak_pending(), plain_queue.peak_pending());
+}
+
+/// A scheduled event in the queue's (time, content, sequence) order.
+struct Pending {
+  double time;
+  std::uint64_t seq;
+  Event event;
+  friend bool operator<(const Pending& a, const Pending& b) {
+    if (a.time != b.time) return a.time < b.time;
+    const int content = content_order(a.event, b.event);
+    if (content != 0) return content < 0;
+    return a.seq < b.seq;
+  }
+};
+
+TEST(EventQueueTest, BottomUpPopsMatchAnOrderedSet) {
+  EventQueue queue;
+  RecordingHandler handler(queue);
+  // Only a source of random events and grid delays here, never dispatched.
+  ScriptedEngine script(queue, /*hold_issues=*/false);
+  std::set<Pending> reference;
+  std::uint64_t seq = 0;
+  const auto schedule = [&](double at) {
+    const Event event = script.random_event();
+    queue.schedule(at, event);
+    reference.insert(Pending{at, seq++, event});
+  };
+  // About the engine's depth, then zero to two replacements per pop.
+  for (int i = 0; i < 2048; ++i) schedule(script.delay());
+  std::size_t pops = 0;
+  while (queue.run_one(handler)) {
+    ASSERT_FALSE(reference.empty());
+    const Pending expected = *reference.begin();
+    reference.erase(reference.begin());
+    ASSERT_EQ(handler.times.back(), expected.time) << "pop " << pops;
+    ASSERT_EQ(content_order(handler.events.back(), expected.event), 0)
+        << "pop " << pops;
+    if (++pops < 20000) {
+      for (std::uint64_t k = script.rng() % 3; k > 0; --k) {
+        schedule(queue.now() + script.delay());
+      }
+    }
+  }
+  EXPECT_TRUE(reference.empty());
+  EXPECT_GE(pops, 20000u);
+}
+
+TEST(EventQueueDeathTest, SecondHeldEventRejected) {
+  EventQueue queue;
+  queue.schedule_chained(1.0, Event::tx_issue(0));
+  EXPECT_DEATH(queue.schedule_chained(2.0, Event::tx_issue(1)),
+               "Precondition");
+}
+
+TEST(EventQueueDeathTest, PastHeldEventRejected) {
+  EventQueue queue;
+  RecordingHandler handler(queue);
+  queue.schedule(2.0, Event::queue_sample());
+  queue.run_one(handler);
+  EXPECT_DEATH(queue.schedule_chained(1.0, Event::tx_issue(0)),
+               "Precondition");
 }
 
 TEST(EventQueueDeathTest, PastSchedulingRejected) {
