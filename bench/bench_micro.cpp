@@ -19,6 +19,7 @@
 #include "sim/simulation.hpp"
 #include "sim/tree_gossip.hpp"
 #include "sim/tx_state.hpp"
+#include "support/t2s_oracle.hpp"
 #include "workload/bitcoin_like_generator.hpp"
 #include "workload/tan_builder.hpp"
 

@@ -1,21 +1,55 @@
 #include "core/optchain_placer.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace optchain::core {
+
+void OptChainConfig::validate() const {
+  const auto reject = [](const std::string& field, const std::string& rule,
+                         double got) {
+    throw std::invalid_argument("OptChainConfig: " + field + " must be " +
+                                rule + " (got " + std::to_string(got) + ")");
+  };
+  const auto non_negative = [](double value) {
+    return value >= 0.0 && std::isfinite(value);
+  };
+  if (!(t2s.alpha > 0.0 && t2s.alpha <= 1.0)) {
+    reject("t2s.alpha", "in (0, 1]", t2s.alpha);
+  }
+  if (!non_negative(t2s.prune_threshold)) {
+    reject("t2s.prune_threshold", "non-negative and finite",
+           t2s.prune_threshold);
+  }
+  if (!non_negative(l2s_weight)) {
+    reject("l2s_weight", "non-negative and finite", l2s_weight);
+  }
+  if (!non_negative(epsilon)) {
+    reject("epsilon", "non-negative and finite", epsilon);
+  }
+}
+
+namespace {
+
+const OptChainConfig& validated(const OptChainConfig& config) {
+  config.validate();
+  return config;
+}
+
+}  // namespace
 
 OptChainPlacer::OptChainPlacer(
     const graph::TanDag& dag, OptChainConfig config, std::string_view label,
     std::function<std::uint32_t(tx::TxIndex)> declared_outputs)
     : dag_(dag),
-      config_(config),
+      config_(validated(config)),
       label_(label),
-      scorer_(config.t2s, std::move(declared_outputs)),
-      l2s_(config.l2s) {
-  OPTCHAIN_EXPECTS(config_.l2s_weight >= 0.0);
-}
+      scorer_(config_.t2s, std::move(declared_outputs)),
+      l2s_(config_.l2s) {}
 
 placement::ShardId OptChainPlacer::choose(
     const placement::PlacementRequest& request,

@@ -46,6 +46,12 @@ struct OptChainConfig {
   /// Disabled when expected_txs == 0.
   std::uint64_t expected_txs = 0;
   double epsilon = 0.1;
+
+  /// Throws std::invalid_argument naming the first nonsensical field:
+  /// t2s.alpha outside (0, 1], or a t2s.prune_threshold, l2s_weight or
+  /// epsilon that is negative, NaN or infinite. OptChainPlacer's
+  /// constructor calls it first.
+  void validate() const;
 };
 
 class OptChainPlacer final : public placement::Placer {
@@ -53,7 +59,8 @@ class OptChainPlacer final : public placement::Placer {
   /// `dag` must outlive the placer and receive each transaction (via
   /// TanDag::add_node / workload::TanBuilder) *before* choose() is called
   /// for it. `label` customizes name() so the T2S-based variant can be
-  /// reported separately.
+  /// reported separately. Throws std::invalid_argument when `config` fails
+  /// OptChainConfig::validate().
   OptChainPlacer(const graph::TanDag& dag, OptChainConfig config = {},
                  std::string_view label = "OptChain",
                  std::function<std::uint32_t(tx::TxIndex)> declared_outputs =

@@ -67,8 +67,8 @@ class ScorePool {
   }
 
   /// Issues a read-prefetch hint for `node`'s vector (no-op on toolchains
-  /// without __builtin_prefetch). The gather kernel calls this one parent
-  /// ahead so the page line is warm when the merge loop reaches it.
+  /// without __builtin_prefetch). The gather kernel calls this for every
+  /// parent before it reads any, so their page lines load in parallel.
   void prefetch(std::uint32_t node) const noexcept {
     OPTCHAIN_EXPECTS(node < handles_.size());
 #if defined(__GNUC__) || defined(__clang__)

@@ -19,10 +19,24 @@
 // allocation per 65k entries — and score() runs entirely on reused scratch
 // buffers, so the steady-state scoring loop allocates nothing.
 //
-// The gather/merge step has two merge strategies: the historical sort-merge
-// for small gathers, and a k-slot dense scatter (epoch-tagged bins, no sort
-// over entries) once the gathered entry count exceeds k — per-shard partial
-// sums accumulate in parent push order either way.
+// The gather (the fold of the parents' p' into p'(u)) is one kernel: each
+// parent entry's value / |Nout(v)| is added into a per-shard bin that
+// starts at +0.0, and the shard's bit is set in a ceil(k/64)-word mask; the
+// set bits are then walked in ascending shard order to emit bin × (1 − α)
+// and sum the total, re-zeroing each bin and mask word on the way out. So
+// each shard's partial sum is a left fold in parent push order (the order
+// of dag.inputs(u)), and the total is summed in ascending shard order.
+// There is no sort: the output comes out shard-sorted from the mask.
+//
+// The sort-merge gather this kernel replaced sorted the weighted entries by
+// shard and folded adjacent runs. Because +0.0 + w == w, the two agree bit
+// for bit on every gather of at most 16 entries, where libstdc++'s
+// std::sort is an insertion sort and so keeps push order within a shard.
+// That covers every gather at k ≤ 16, since one of more than k entries
+// took a push-order scatter path instead of the sort. At k ≥ 17 a gather of
+// 17 or more entries went through introsort, which is not stable, so
+// same-shard entries could be summed in another order and p' differs there
+// by a few ulps; placement decisions did not move on the streams checked.
 //
 // |Nout(v)| — the out-neighborhood size of v — grows as later transactions
 // spend v's outputs. The divisor policy selects the online reading:
@@ -104,13 +118,10 @@ class T2sScorer {
   const ScorePool& pool() const noexcept { return pool_; }
 
  private:
-  /// Reusable scratch state of gather().
+  /// Reusable scratch state of gather(): all zero between calls.
   struct ScoreScratch {
-    std::vector<ScoreEntry> accumulator;    // sparse path: gathered entries
-    std::vector<double> bins;               // dense path: per-shard sums
-    std::vector<std::uint32_t> bin_epoch;   // dense path: bin validity tags
-    std::vector<std::uint32_t> touched;     // dense path: shards hit
-    std::uint32_t generation = 0;           // current epoch tag
+    std::vector<double> bins;          // per-shard partial sums
+    std::vector<std::uint64_t> mask;   // bit s set: bins[s] was touched
   };
 
   /// The |Nout(v)| divisor for parent v under this scorer's policy, given
@@ -122,10 +133,11 @@ class T2sScorer {
                      std::max<std::uint32_t>(1, declared_outputs_(v)));
   }
 
-  /// The gather/merge kernel: fills `merged` with the sorted, pruned sparse
+  /// The gather kernel: fills `merged` with the shard-sorted, pruned sparse
   /// vector (1 − α) Σ_i p'(parents[i]) / divisors[i] — the pre-commit p'(u)
-  /// that score() caches. Reads only final pool vectors. `k` is the shard
-  /// count (dense-scatter bin width).
+  /// that score() caches — summing each shard in `parents` order (see the
+  /// file comment). Reads only final pool vectors. `k` is the shard count
+  /// (bin width).
   void gather(std::span<const tx::TxIndex> parents,
               std::span<const double> divisors, std::uint32_t k,
               ScoreScratch& scratch, std::vector<ScoreEntry>& merged) const;
@@ -143,15 +155,5 @@ class T2sScorer {
   std::vector<ScoreEntry> merged_;        // scratch: merged/pruned p'(u)
   std::vector<double> divisors_;          // scratch: per-parent divisors
 };
-
-/// Reference implementation: recomputes every p' vector from scratch by
-/// propagating along the DAG in topological (arrival) order, given the final
-/// placement. Used by tests to validate the incremental scheme
-/// (O(k(|V|+|E|)); not for production use).
-std::vector<std::vector<double>> recompute_all_scores_dense(
-    const graph::TanDag& dag, const placement::ShardAssignment& assignment,
-    const T2sConfig& config,
-    const std::function<std::uint32_t(tx::TxIndex)>& declared_outputs =
-        nullptr);
 
 }  // namespace optchain::core

@@ -13,13 +13,17 @@
 // drift impossible, not to freeze behavior forever.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <string>
 #include <vector>
 
 #include "api/placement_pipeline.hpp"
+#include "common/hash.hpp"
+#include "core/optchain_placer.hpp"
 #include "core/score_pool.hpp"
 #include "core/t2s_scorer.hpp"
 #include "sim/simulation.hpp"
+#include "support/t2s_oracle.hpp"
 #include "workload/bitcoin_like_generator.hpp"
 #include "workload/tx_source.hpp"
 
@@ -174,6 +178,77 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<PlaceGolden>& info) {
       return std::string(info.param.method);
     });
+
+// ---------------------------------- decision and p' digests, 50k txs
+
+// Where the gather's summation order can change the last bits of p', these
+// digests pin the outcome over a 50k-transaction generated stream. Each is
+// FNV-1a over little-endian bytes. They were captured while the gather
+// still sorted its entries by shard (before the one-kernel scatter), and
+// the scatter must keep them:
+//   - every decision (4 bytes each) plus the cross counter's total and
+//     cross (8 bytes each), for OptChain and T2S at k = 32 and 64, where a
+//     gather can hold 17 or more entries;
+//   - every pooled p' entry (shard as 4 bytes, value bits as 8) of
+//     OptChain at k = 16, where p' must stay bit-identical.
+constexpr std::size_t kDigestStreamLength = 50'000;
+
+void append_le(std::vector<std::uint8_t>& bytes, std::uint64_t value,
+               int width) {
+  for (int i = 0; i < width; ++i) {
+    bytes.push_back(static_cast<std::uint8_t>(value >> (8 * i)));
+  }
+}
+
+TEST(PlacementDigestTest, DecisionsArePinnedAtWideK) {
+  struct Pin {
+    const char* method;
+    std::uint32_t k;
+    std::uint64_t digest;
+  };
+  const Pin pins[] = {
+      {"OptChain", 32, 0xdfc1c37002fca88d},
+      {"OptChain", 64, 0x69ca4f767c3880d5},
+      {"T2S", 32, 0x2723580210643a98},
+      {"T2S", 64, 0xa88a30f4d9fdb798},
+  };
+  workload::BitcoinLikeGenerator gen({}, kStreamSeed);
+  const auto txs = gen.generate(kDigestStreamLength);
+  for (const Pin& pin : pins) {
+    api::PlacementPipeline pipeline =
+        api::make_pipeline(pin.method, pin.k, txs);
+    pipeline.place_stream(txs);
+    std::vector<std::uint8_t> bytes;
+    bytes.reserve(4 * txs.size() + 16);
+    for (tx::TxIndex i = 0; i < txs.size(); ++i) {
+      append_le(bytes, pipeline.assignment().shard_of(i), 4);
+    }
+    append_le(bytes, pipeline.cross_counter().total(), 8);
+    append_le(bytes, pipeline.cross_counter().cross(), 8);
+    const std::uint64_t digest = fnv1a(bytes);
+    EXPECT_EQ(digest, pin.digest)
+        << pin.method << " at k = " << pin.k << ": digest 0x" << std::hex
+        << digest;
+  }
+}
+
+TEST(PlacementDigestTest, PooledScoresArePinnedAtK16) {
+  workload::BitcoinLikeGenerator gen({}, kStreamSeed);
+  const auto txs = gen.generate(kDigestStreamLength);
+  api::PlacementPipeline pipeline = api::make_pipeline("OptChain", 16, txs);
+  pipeline.place_stream(txs);
+  const auto& placer =
+      dynamic_cast<const core::OptChainPlacer&>(pipeline.placer());
+  std::vector<std::uint8_t> bytes;
+  for (tx::TxIndex u = 0; u < txs.size(); ++u) {
+    for (const core::ScoreEntry& entry : placer.scorer().raw_vector(u)) {
+      append_le(bytes, entry.shard, 4);
+      append_le(bytes, std::bit_cast<std::uint64_t>(entry.value), 8);
+    }
+  }
+  const std::uint64_t digest = fnv1a(bytes);
+  EXPECT_EQ(digest, 0x7261bf5228620522u) << "digest 0x" << std::hex << digest;
+}
 
 // ------------------------------------------- pooled score store vs dense
 

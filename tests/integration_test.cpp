@@ -75,8 +75,8 @@ TEST(IntegrationTest, CrossTxOrderingMatchesTableOne) {
   // below random placement, and the T2S score stays in the paper's value
   // range. (The paper additionally measures Greedy well above T2S on the
   // real Bitcoin data; our synthetic stream's temporal communities flatter
-  // Greedy on this metric — see EXPERIMENTS.md — while the simulation
-  // figures still show Greedy losing on latency/throughput.)
+  // Greedy on this metric — an open gap, ROADMAP.md item 12 — while the
+  // simulation figures still show Greedy losing on latency/throughput.)
   const auto txs = stream(60000);
   const auto results = run_all_methods(txs, 8, 3000.0);
   EXPECT_LT(results.at("metis").cross_fraction,

@@ -3,8 +3,10 @@
 // against the baselines on generated workloads.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <iostream>
 #include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -414,6 +416,56 @@ TEST(OptChainPlacerTest, UntimedEmptySupportShardsFallBackToLeastLoaded) {
   EXPECT_EQ(chosen, 0u);
 }
 
+// OptChainConfig::validate() runs first in the constructor, so a nonsense
+// field throws std::invalid_argument naming it instead of aborting in the
+// scorer's precondition or reaching select()'s cast of the capacity cap.
+TEST(OptChainPlacerTest, ConstructorRejectsBadConfigsNamingTheField) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  struct BadConfig {
+    const char* field;
+    std::function<void(OptChainConfig&)> apply;
+  };
+  const BadConfig cases[] = {
+      {"t2s.alpha", [](OptChainConfig& c) { c.t2s.alpha = 0.0; }},
+      {"t2s.alpha", [](OptChainConfig& c) { c.t2s.alpha = 1.5; }},
+      {"t2s.alpha", [](OptChainConfig& c) { c.t2s.alpha = -0.5; }},
+      {"t2s.alpha", [nan](OptChainConfig& c) { c.t2s.alpha = nan; }},
+      {"t2s.prune_threshold",
+       [](OptChainConfig& c) { c.t2s.prune_threshold = -1e-7; }},
+      {"t2s.prune_threshold",
+       [nan](OptChainConfig& c) { c.t2s.prune_threshold = nan; }},
+      {"t2s.prune_threshold",
+       [inf](OptChainConfig& c) { c.t2s.prune_threshold = inf; }},
+      {"l2s_weight", [](OptChainConfig& c) { c.l2s_weight = -0.01; }},
+      {"l2s_weight", [nan](OptChainConfig& c) { c.l2s_weight = nan; }},
+      {"l2s_weight", [inf](OptChainConfig& c) { c.l2s_weight = inf; }},
+      {"epsilon", [](OptChainConfig& c) { c.epsilon = -2.0; }},
+      {"epsilon", [nan](OptChainConfig& c) { c.epsilon = nan; }},
+      {"epsilon", [inf](OptChainConfig& c) { c.epsilon = inf; }},
+  };
+  graph::TanDag dag;
+  for (const BadConfig& bad : cases) {
+    OptChainConfig config;
+    bad.apply(config);
+    try {
+      OptChainPlacer placer(dag, config);
+      ADD_FAILURE() << bad.field << ": no error";
+    } catch (const std::invalid_argument& error) {
+      EXPECT_NE(std::string(error.what()).find(bad.field), std::string::npos)
+          << error.what();
+    }
+  }
+  // The edges of each range are accepted: α = 1, zero threshold, weight
+  // and ε.
+  OptChainConfig edges;
+  edges.t2s.alpha = 1.0;
+  edges.t2s.prune_threshold = 0.0;
+  edges.l2s_weight = 0.0;
+  edges.epsilon = 0.0;
+  EXPECT_NO_THROW(OptChainPlacer(dag, edges));
+}
+
 // ------------------------------------------------- cross-TX quality sweeps
 
 struct QualityCase {
@@ -429,8 +481,8 @@ class CrossTxQualityTest : public ::testing::TestWithParam<QualityCase> {};
 /// offline Metis oracle. (On the real Bitcoin data the paper additionally
 /// measures Greedy well above T2S; our synthetic communities are temporal,
 /// which flatters Greedy's one-hop rule on the cross-TX metric — it pays for
-/// it with the temporal imbalance covered by the simulation tests. See
-/// EXPERIMENTS.md.)
+/// it with the temporal imbalance covered by the simulation tests. The gap
+/// is open: ROADMAP.md item 12.)
 TEST_P(CrossTxQualityTest, InformedMethodsCrushRandomPlacement) {
   const auto [k, seed] = GetParam();
   workload::BitcoinLikeGenerator gen({}, seed);

@@ -1,13 +1,18 @@
 // Tests for the incremental T2S scorer: hand-computed values, equivalence
-// with the from-scratch dense recomputation, divisor policies, pruning.
+// with the from-scratch dense recomputation, the gather's summation order,
+// divisor policies, pruning.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "core/t2s_scorer.hpp"
 #include "graph/dag.hpp"
 #include "placement/shard_assignment.hpp"
+#include "support/t2s_oracle.hpp"
 
 namespace optchain::core {
 namespace {
@@ -193,6 +198,108 @@ INSTANTIATE_TEST_SUITE_P(
       return "seed" + std::to_string(param_info.param.seed) + "_k" +
              std::to_string(param_info.param.k);
     });
+
+/// The gather's order contract, computed the naive way from the parents'
+/// stored vectors: per shard a left fold from 0.0 over dag.inputs(u) in
+/// order of value / spender_count, times (1 − α), the total summed in
+/// ascending shard order, entries below total × prune_threshold dropped.
+std::vector<ScoreEntry> reference_gather(const T2sScorer& scorer,
+                                         const graph::TanDag& dag, NodeId u,
+                                         std::uint32_t k) {
+  std::vector<double> sums(k, 0.0);
+  std::vector<bool> hit(k, false);
+  for (const NodeId v : dag.inputs(u)) {
+    const auto divisor = static_cast<double>(dag.spender_count(v));
+    for (const ScoreEntry& entry : scorer.raw_vector(v)) {
+      sums[entry.shard] += entry.value / divisor;
+      hit[entry.shard] = true;
+    }
+  }
+  std::vector<ScoreEntry> expected;
+  double total = 0.0;
+  for (std::uint32_t shard = 0; shard < k; ++shard) {
+    if (!hit[shard]) continue;
+    expected.push_back({shard, sums[shard] * (1.0 - scorer.alpha())});
+    total += expected.back().value;
+  }
+  const double cutoff = total * scorer.config().prune_threshold;
+  std::erase_if(expected,
+                [cutoff](const ScoreEntry& e) { return e.value < cutoff; });
+  return expected;
+}
+
+/// Scores a random DAG at `k` shards and checks every gather, before its
+/// commit, bit for bit against reference_gather(). Nodes take 3–6 parents
+/// from the last 40 arrivals, and half of them follow a parent's shard, so
+/// parents overlap on shards and gathers hold more than 16 entries at
+/// k ≥ 17; k ≥ 65 crosses a 64-shard word.
+void check_gather_order(std::uint32_t k, double prune_threshold) {
+  Rng rng(1000 + k);
+  graph::TanDag dag;
+  placement::ShardAssignment assignment(k);
+  T2sConfig config;
+  config.prune_threshold = prune_threshold;
+  T2sScorer scorer(config);
+  std::size_t wide_gathers = 0;  // gathers of more than 16 entries
+  std::uint32_t max_shard = 0;
+  std::vector<NodeId> inputs;
+  for (NodeId u = 0; u < 1500; ++u) {
+    inputs.clear();
+    if (u >= 8) {
+      const auto degree = 3 + static_cast<std::uint32_t>(rng.below(4));
+      const NodeId window = std::min<NodeId>(u, 40);
+      for (std::uint32_t i = 0; i < degree; ++i) {
+        inputs.push_back(u - 1 - static_cast<NodeId>(rng.below(window)));
+      }
+    }
+    dag.add_node(inputs);
+    scorer.score(dag, u, assignment);
+
+    std::size_t gathered = 0;
+    for (const NodeId v : dag.inputs(u)) {
+      gathered += scorer.raw_vector(v).size();
+    }
+    if (gathered > 16) ++wide_gathers;
+    const auto expected = reference_gather(scorer, dag, u, k);
+    const auto stored = scorer.raw_vector(u);
+    ASSERT_EQ(stored.size(), expected.size()) << "node " << u;
+    for (std::size_t i = 0; i < stored.size(); ++i) {
+      ASSERT_EQ(stored[i].shard, expected[i].shard) << "node " << u;
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(stored[i].value),
+                std::bit_cast<std::uint64_t>(expected[i].value))
+          << "node " << u << " shard " << stored[i].shard;
+      max_shard = std::max(max_shard, stored[i].shard);
+    }
+
+    const auto parents = dag.inputs(u);
+    const auto shard =
+        !parents.empty() && rng.below(2) == 0
+            ? assignment.shard_of(parents[rng.below(parents.size())])
+            : static_cast<placement::ShardId>(rng.below(k));
+    assignment.record(u, shard);
+    scorer.commit(u, shard);
+  }
+  if (k >= 17) {
+    EXPECT_GT(wide_gathers, 0u);
+  }
+  if (k >= 65) {
+    EXPECT_GE(max_shard, 64u);
+  }
+}
+
+// Bit for bit, not EXPECT_NEAR: every shard's sum is folded in parent push
+// order, whatever the gather's size or k. A zero prune_threshold keeps every
+// emitted entry, so a stale mask bit (an extra zero entry) shows; 1e-3 also
+// runs the pruning.
+TEST(T2sScorerTest, GatherSumsEachShardInParentOrder) {
+  for (const std::uint32_t k : {1u, 2u, 16u, 17u, 63u, 64u, 65u, 128u}) {
+    for (const double prune_threshold : {0.0, 1e-3}) {
+      SCOPED_TRACE("k = " + std::to_string(k) +
+                   ", prune_threshold = " + std::to_string(prune_threshold));
+      check_gather_order(k, prune_threshold);
+    }
+  }
+}
 
 TEST(T2sScorerTest, PruningBoundsMemoryWithSmallError) {
   Rng rng(77);
